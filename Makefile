@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench bench-smoke bench-parallel bench-wal bench-mvcc bench-load bench-load-smoke bench-optimizer bench-scrub clean
+.PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench-check bench bench-smoke bench-parallel bench-wal bench-mvcc bench-load bench-load-smoke bench-optimizer bench-scrub clean
 
 all: check
 
@@ -94,11 +94,18 @@ cover:
 			exit bad \
 		}'
 
+# The benchmark (bench/) is a nested module, so `go build/test ./...` at the
+# root never compiles it, yet it calls internal packages and metric names by
+# name (encoding.PackSlice, Packed.DecodeAll, RLEEncode, RLE.DecodeAll, ...).
+# Vet and test it so a rename breaks the build here, not the next benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Full CI gate: build, vet, durability lint, tests (incl. golden plans +
-# metrics invariants), race detector, fuzz smoke, serving smoke, integrity
-# scrub smoke, crash matrix (incl. degrade/poison), bulk-load parity sweep,
-# coverage floor.
-check: build vet lint test race fuzz-smoke serve-smoke scrub-smoke crash bench-load-smoke cover
+# metrics invariants), benchmark build and unit tests, race detector, fuzz
+# smoke, serving smoke, integrity scrub smoke, crash matrix (incl.
+# degrade/poison), bulk-load parity sweep, coverage floor.
+check: build vet lint test bench-check race fuzz-smoke serve-smoke scrub-smoke crash bench-load-smoke cover
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

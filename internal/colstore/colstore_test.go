@@ -223,7 +223,7 @@ func TestCodeRangeMonotonic(t *testing.T) {
 		t.Fatal("expected monotonic code range")
 	}
 	for i := 0; i < r.Len(); i++ {
-		code := r.Codes()[i]
+		code := r.CodeAt(i)
 		inCode := code >= cLo && code <= cHi
 		v := r.Value(i)
 		inRaw := v.I >= 500 && v.I <= 600
@@ -246,7 +246,7 @@ func TestCodeSetMatching(t *testing.T) {
 	set := r.CodeSetMatching(func(v sqltypes.Value) bool { return strings.HasPrefix(v.S, "s") })
 	for i := 0; i < r.Len(); i++ {
 		want := strings.HasPrefix(r.Value(i).S, "s")
-		if got := set.Get(int(r.Codes()[i])); got != want {
+		if got := set.Get(int(r.CodeAt(i))); got != want {
 			t.Fatalf("row %d: codeset %v, want %v", i, got, want)
 		}
 	}
@@ -411,5 +411,99 @@ func TestSortedColumnUsesRLE(t *testing.T) {
 	}
 	if g.DiskBytes() > 200 {
 		t.Fatalf("RLE segment suspiciously large: %d bytes", g.DiskBytes())
+	}
+}
+
+// Every way of reading a segment — CodeAt in ascending, sparse and random
+// order, chunked DecodeRange, CodesAt over contiguous and sparse ids, the
+// gathers and Value — agrees with the original rows, on an RLE and a
+// bit-packed segment that both hold NULLs and on a string segment with a
+// local dictionary.
+func TestReaderAccessPaths(t *testing.T) {
+	schema := sqltypes.NewSchema(
+		sqltypes.Column{Name: "k", Typ: sqltypes.Int64, Nullable: true},
+		sqltypes.Column{Name: "v", Typ: sqltypes.Int64, Nullable: true},
+		sqltypes.Column{Name: "s", Typ: sqltypes.String, Nullable: true},
+	)
+	rng := rand.New(rand.NewSource(21))
+	var rows []sqltypes.Row
+	for i := 0; i < 3000; i++ {
+		k := sqltypes.NewInt(int64(i / 100))
+		if (i/100)%4 == 1 {
+			k = sqltypes.NewNull(sqltypes.Int64)
+		}
+		v := sqltypes.NewInt(rng.Int63n(1 << 40))
+		if i%9 == 0 {
+			v = sqltypes.NewNull(sqltypes.Int64)
+		}
+		s := sqltypes.NewString(fmt.Sprintf("s%d", rng.Intn(50)))
+		if i%7 == 0 {
+			s = sqltypes.NewNull(sqltypes.String)
+		}
+		rows = append(rows, sqltypes.Row{k, v, s})
+	}
+	opts := DefaultOptions()
+	opts.Reorder = false
+	opts.PrimaryDictCap = 10
+	idx := NewIndex(storage.NewStore(storage.DefaultBufferPoolBytes), schema, opts)
+	g, err := idx.CompressRowGroup(BuffersFromRows(schema, rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Segs[0].Comp != CompRLE || g.Segs[1].Comp != CompBitPack || g.Segs[2].LocalDict == 0 {
+		t.Fatalf("segment shapes: k %v, v %v, s local dictionary %d", g.Segs[0].Comp, g.Segs[1].Comp, g.Segs[2].LocalDict)
+	}
+	var sparse []int
+	for i := 0; i < len(rows); i += 1 + rng.Intn(40) {
+		sparse = append(sparse, i)
+	}
+	contiguous := []int{1200, 1201, 1202, 1203, 1204, 1205}
+
+	for c := range schema.Cols {
+		r, err := idx.OpenColumn(g, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Codes through CodeAt in ascending order are the reference for
+		// the other code paths; values check them against the input rows.
+		codes := make([]uint64, r.Len())
+		for i := range codes {
+			codes[i] = r.CodeAt(i)
+			if got, want := r.Value(i), rows[i][c]; got.Null != want.Null || (!want.Null && sqltypes.Compare(got, want) != 0) {
+				t.Fatalf("col %d row %d: Value %v, want %v", c, i, got, want)
+			}
+		}
+		for _, i := range rng.Perm(len(codes)) {
+			if got := r.CodeAt(i); got != codes[i] {
+				t.Fatalf("col %d: random-order CodeAt(%d) = %d, want %d", c, i, got, codes[i])
+			}
+		}
+		buf := make([]uint64, 37)
+		for start := 0; start < len(codes); {
+			got := r.DecodeRange(start, buf)
+			for k, code := range got {
+				if code != codes[start+k] {
+					t.Fatalf("col %d: DecodeRange from %d: row %d = %d, want %d", c, start, start+k, code, codes[start+k])
+				}
+			}
+			start += len(got)
+		}
+		for _, ids := range [][]int{sparse, contiguous} {
+			got := r.CodesAt(ids, make([]uint64, len(ids)))
+			v := vector.NewVector(schema.Cols[c].Typ, 0)
+			if r.CanEmitCodes() {
+				r.GatherCodesInto(v, ids)
+			} else {
+				r.GatherInto(v, ids)
+			}
+			for k, i := range ids {
+				if got[k] != codes[i] {
+					t.Fatalf("col %d: CodesAt row %d = %d, want %d", c, i, got[k], codes[i])
+				}
+				if gv, want := v.Value(k), rows[i][c]; gv.Null != want.Null || (!want.Null && sqltypes.Compare(gv, want) != 0) {
+					t.Fatalf("col %d: gathered row %d = %v, want %v", c, i, gv, want)
+				}
+			}
+		}
 	}
 }

@@ -11,15 +11,22 @@ import (
 	"apollo/internal/vector"
 )
 
-// ColumnReader provides decoded access to one column segment: bulk
-// materialization into vectors, random access by tuple id (bookmark fetch),
-// and code-space predicate translation so filters run on encoded data.
+// ColumnReader provides access to one column segment without expanding it:
+// it holds the segment's code stream in encoded form (a bit-packed vector
+// aliasing the cached blob bytes, or a run table) and decodes only the rows
+// a caller asks for — random access by tuple id (bookmark fetch), chunked
+// range decode, gathers of surviving rows into vectors, and code-space
+// predicate translation so filters run on encoded data. A reader is
+// single-goroutine state (its run cursor and scratch buffer move on every
+// read); the bytes it aliases are shared and read-only.
 type ColumnReader struct {
 	Meta *SegmentMeta
 	Col  sqltypes.Column
 
-	codes []uint64
-	nulls *bits.Bitmap
+	codes   codeStream
+	runs    encoding.RLECursor // reads codes.rle; ascending reads are amortised O(1)
+	nulls   *bits.Bitmap
+	scratch []uint64 // code buffer for gathers, at most gatherChunk codes
 
 	// primary is the shared table-wide dictionary; primaryVals is a snapshot
 	// of its id->value slice taken at open time, safe to read while the tuple
@@ -35,7 +42,12 @@ type ColumnReader struct {
 	remap      []uint32 // local code -> primary id; nil when no local dict
 }
 
-// OpenColumn reads and decodes a segment from the store. primary is the
+// gatherChunk bounds the scratch buffer a gather or materialization decodes
+// codes into before converting them to values.
+const gatherChunk = 256
+
+// OpenColumn reads a segment from the store and parses its header, null
+// bitmap and code-stream framing; no code is decoded. primary is the
 // column's primary dictionary (nil for non-string columns).
 func OpenColumn(store *storage.Store, meta *SegmentMeta, col sqltypes.Column, primary *encoding.Dict) (*ColumnReader, error) {
 	payload, err := store.Get(meta.Blob)
@@ -54,10 +66,13 @@ func OpenColumn(store *storage.Store, meta *SegmentMeta, col sqltypes.Column, pr
 		mSegNumeric.Inc()
 		mDecodeNumeric.Observe(time.Since(decodeStart).Seconds())
 	}
-	if len(codes) != meta.Rows {
-		return nil, fmt.Errorf("colstore: segment has %d rows, directory says %d", len(codes), meta.Rows)
+	if codes.rows != meta.Rows {
+		return nil, fmt.Errorf("colstore: segment has %d rows, directory says %d", codes.rows, meta.Rows)
 	}
 	r := &ColumnReader{Meta: meta, Col: col, codes: codes, nulls: nulls, primary: primary}
+	if codes.rle != nil {
+		r.runs = codes.rle.Cursor()
+	}
 	if primary != nil {
 		r.primaryVals = primary.SnapshotValues()
 	}
@@ -77,16 +92,57 @@ func OpenColumn(store *storage.Store, meta *SegmentMeta, col sqltypes.Column, pr
 }
 
 // Len returns the number of rows in the segment.
-func (r *ColumnReader) Len() int { return len(r.codes) }
-
-// Codes exposes the decoded code stream (shared; do not modify).
-func (r *ColumnReader) Codes() []uint64 { return r.codes }
+func (r *ColumnReader) Len() int { return r.codes.rows }
 
 // Nulls exposes the null bitmap (may be nil).
 func (r *ColumnReader) Nulls() *bits.Bitmap { return r.nulls }
 
 // IsNull reports whether row i is NULL.
 func (r *ColumnReader) IsNull(i int) bool { return r.nulls != nil && r.nulls.Get(i) }
+
+// CodeAt returns row i's code: a word-at-a-time extract from packed data, or
+// a run-cursor read from RLE data (amortised O(1) when i ascends).
+func (r *ColumnReader) CodeAt(i int) uint64 {
+	if r.codes.rle != nil {
+		return r.runs.At(i)
+	}
+	return r.codes.packed.Get(i)
+}
+
+// DecodeRange decodes the codes of rows start, start+1, ... into dst, up to
+// the end of dst or of the segment, and returns the filled prefix. Dense
+// passes over a segment call it with a small caller-owned buffer.
+func (r *ColumnReader) DecodeRange(start int, dst []uint64) []uint64 {
+	if r.codes.rle != nil {
+		return r.codes.rle.DecodeRange(start, dst)
+	}
+	return r.codes.packed.DecodeRange(start, dst)
+}
+
+// CodesAt writes the codes of rows idxs (strictly ascending) into dst, which
+// must hold len(idxs) values, and returns dst[:len(idxs)]. Contiguous ids —
+// the batches of a group that no filter narrowed — decode as one range;
+// anything sparser reads each row through CodeAt.
+func (r *ColumnReader) CodesAt(idxs []int, dst []uint64) []uint64 {
+	dst = dst[:len(idxs)]
+	if len(idxs) == 0 {
+		return dst
+	}
+	if idxs[len(idxs)-1]-idxs[0] == len(idxs)-1 {
+		return r.DecodeRange(idxs[0], dst)
+	}
+	if r.codes.rle != nil {
+		for k, i := range idxs {
+			dst[k] = r.runs.At(i)
+		}
+		return dst
+	}
+	p := r.codes.packed
+	for k, i := range idxs {
+		dst[k] = p.Get(i)
+	}
+	return dst
+}
 
 // DecodeCode maps a code to its raw value.
 func (r *ColumnReader) DecodeCode(code uint64) sqltypes.Value {
@@ -113,38 +169,64 @@ func (r *ColumnReader) Value(i int) sqltypes.Value {
 	if r.IsNull(i) {
 		return sqltypes.NewNull(r.Col.Typ)
 	}
-	return r.DecodeCode(r.codes[i])
+	return r.DecodeCode(r.CodeAt(i))
 }
 
-// MaterializeInto decodes rows [start, start+n) into v, resizing it to n.
-func (r *ColumnReader) MaterializeInto(v *vector.Vector, start, n int) {
+// chunk returns the reader's scratch code buffer with room for n codes,
+// capped at gatherChunk.
+func (r *ColumnReader) chunk(n int) []uint64 {
+	n = min(n, gatherChunk)
+	if cap(r.scratch) < n {
+		r.scratch = make([]uint64, n)
+	}
+	return r.scratch[:n]
+}
+
+// decodeInto writes the values of codes into v's rows at, at+1, ....
+func (r *ColumnReader) decodeInto(v *vector.Vector, at int, codes []uint64) {
+	switch {
+	case r.Meta.Enc == EncDict:
+		out := v.Str[at : at+len(codes)]
+		for k, c := range codes {
+			out[k] = r.dictValue(c)
+		}
+	case r.Col.Typ == sqltypes.Float64:
+		num := r.Meta.Numeric
+		out := v.F64[at : at+len(codes)]
+		for k, c := range codes {
+			out[k] = num.DecodeFloat(c)
+		}
+	default:
+		num := r.Meta.Numeric
+		out := v.I64[at : at+len(codes)]
+		if num.Kind == encoding.NumOffset {
+			base := num.Base
+			for k, c := range codes {
+				out[k] = int64(c) + base
+			}
+		} else {
+			for k, c := range codes {
+				out[k] = num.DecodeInt(c)
+			}
+		}
+	}
+}
+
+// resetVector readies v to receive n decoded (not dict-coded) rows.
+func resetVector(v *vector.Vector, n int) {
 	v.ClearCoded()
 	v.Resize(n)
 	if v.Nulls != nil {
 		v.Nulls.Reset()
 	}
-	switch {
-	case r.Meta.Enc == EncDict:
-		for i := 0; i < n; i++ {
-			v.Str[i] = r.dictValue(r.codes[start+i])
-		}
-	case r.Col.Typ == sqltypes.Float64:
-		num := r.Meta.Numeric
-		for i := 0; i < n; i++ {
-			v.F64[i] = num.DecodeFloat(r.codes[start+i])
-		}
-	default:
-		num := r.Meta.Numeric
-		if num.Kind == encoding.NumOffset {
-			base := num.Base
-			for i := 0; i < n; i++ {
-				v.I64[i] = int64(r.codes[start+i]) + base
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				v.I64[i] = num.DecodeInt(r.codes[start+i])
-			}
-		}
+}
+
+// MaterializeInto decodes rows [start, start+n) into v, resizing it to n.
+func (r *ColumnReader) MaterializeInto(v *vector.Vector, start, n int) {
+	resetVector(v, n)
+	buf := r.chunk(n)
+	for at := 0; at < n; at += len(buf) {
+		r.decodeInto(v, at, r.DecodeRange(start+at, buf[:min(len(buf), n-at)]))
 	}
 	if r.nulls != nil {
 		for i := 0; i < n; i++ {
@@ -384,74 +466,46 @@ func (r *ColumnReader) prepareCoded() {
 }
 
 // GatherCodesInto fills v with primary-dictionary codes for the rows at idxs
-// without decoding any string. The caller must have checked CanEmitCodes.
+// (strictly ascending) without decoding any string. The caller must have
+// checked CanEmitCodes.
 func (r *ColumnReader) GatherCodesInto(v *vector.Vector, idxs []int) {
-	n := len(idxs)
-	v.MakeCoded(r.primary, r.primaryVals, n)
+	v.MakeCoded(r.primary, r.primaryVals, len(idxs))
 	if v.Nulls != nil {
 		v.Nulls.Reset()
 	}
-	cut := uint64(r.Meta.DictCut)
-	if r.remap == nil {
-		for i, j := range idxs {
-			v.Codes[i] = r.codes[j]
-		}
-	} else {
-		for i, j := range idxs {
-			c := r.codes[j]
+	codes := r.CodesAt(idxs, v.Codes)
+	if r.remap != nil {
+		cut := uint64(r.Meta.DictCut)
+		for i, c := range codes {
 			if c >= cut {
-				c = uint64(r.remap[c-cut])
-			}
-			v.Codes[i] = c
-		}
-	}
-	if r.nulls != nil {
-		for i, j := range idxs {
-			if r.nulls.Get(j) {
-				v.SetNull(i)
+				codes[i] = uint64(r.remap[c-cut])
 			}
 		}
 	}
+	r.gatherNulls(v, idxs)
 }
 
-// GatherInto decodes the rows at idxs (ascending physical positions) into v,
-// resizing it to len(idxs). Vectorized scans use it to materialize only the
-// rows that survived filtering on encoded data.
+// GatherInto decodes the rows at idxs (strictly ascending physical
+// positions) into v, resizing it to len(idxs). Vectorized scans use it to
+// materialize only the rows that survived filtering on encoded data.
 func (r *ColumnReader) GatherInto(v *vector.Vector, idxs []int) {
 	n := len(idxs)
-	v.ClearCoded()
-	v.Resize(n)
-	if v.Nulls != nil {
-		v.Nulls.Reset()
+	resetVector(v, n)
+	buf := r.chunk(n)
+	for at := 0; at < n; at += len(buf) {
+		part := idxs[at:min(at+len(buf), n)]
+		r.decodeInto(v, at, r.CodesAt(part, buf))
 	}
-	switch {
-	case r.Meta.Enc == EncDict:
-		for i, j := range idxs {
-			v.Str[i] = r.dictValue(r.codes[j])
-		}
-	case r.Col.Typ == sqltypes.Float64:
-		num := r.Meta.Numeric
-		for i, j := range idxs {
-			v.F64[i] = num.DecodeFloat(r.codes[j])
-		}
-	default:
-		num := r.Meta.Numeric
-		if num.Kind == encoding.NumOffset {
-			base := num.Base
-			for i, j := range idxs {
-				v.I64[i] = int64(r.codes[j]) + base
-			}
-		} else {
-			for i, j := range idxs {
-				v.I64[i] = num.DecodeInt(r.codes[j])
-			}
-		}
+	r.gatherNulls(v, idxs)
+}
+
+func (r *ColumnReader) gatherNulls(v *vector.Vector, idxs []int) {
+	if r.nulls == nil {
+		return
 	}
-	if r.nulls != nil {
-		for i, j := range idxs {
-			if r.nulls.Get(j) {
-				v.SetNull(i)
-			}
+	for i, j := range idxs {
+		if r.nulls.Get(j) {
+			v.SetNull(i)
 		}
 	}
 }

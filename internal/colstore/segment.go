@@ -225,26 +225,36 @@ func marshalPayload(nulls *bits.Bitmap, rows int, isRLE bool, body func([]byte) 
 	return body(out)
 }
 
-// unmarshalPayload decodes a segment payload into codes and a null bitmap.
-func unmarshalPayload(buf []byte) (codes []uint64, nulls *bits.Bitmap, err error) {
+// codeStream is a segment's code stream kept in its encoded form: either a
+// run table or a bit-packed vector whose Data aliases the payload bytes.
+type codeStream struct {
+	rle    *encoding.RLE // nil for a bit-packed stream
+	packed encoding.Packed
+	rows   int
+}
+
+// unmarshalPayload parses a segment payload into its encoded code stream and
+// null bitmap. It validates lengths but decodes no code: a bit-packed stream
+// aliases buf, which must stay unmodified for the stream's lifetime.
+func unmarshalPayload(buf []byte) (codes codeStream, nulls *bits.Bitmap, err error) {
 	if len(buf) < 1 {
-		return nil, nil, fmt.Errorf("colstore: empty segment payload")
+		return codes, nil, fmt.Errorf("colstore: empty segment payload")
 	}
 	flags := buf[0]
 	pos := 1
 	rows, n := binary.Uvarint(buf[pos:])
 	if n <= 0 {
-		return nil, nil, fmt.Errorf("colstore: bad segment row count")
+		return codes, nil, fmt.Errorf("colstore: bad segment row count")
 	}
 	pos += n
 	if flags&1 != 0 {
 		wc, n := binary.Uvarint(buf[pos:])
 		if n <= 0 {
-			return nil, nil, fmt.Errorf("colstore: bad null word count")
+			return codes, nil, fmt.Errorf("colstore: bad null word count")
 		}
 		pos += n
-		if pos+8*int(wc) > len(buf) {
-			return nil, nil, fmt.Errorf("colstore: null bitmap truncated")
+		if wc > uint64(len(buf)-pos)/8 {
+			return codes, nil, fmt.Errorf("colstore: null bitmap truncated")
 		}
 		words := make([]uint64, wc)
 		for i := range words {
@@ -253,26 +263,26 @@ func unmarshalPayload(buf []byte) (codes []uint64, nulls *bits.Bitmap, err error
 		}
 		nulls = bits.FromWords(words)
 	}
-	codes = make([]uint64, rows)
 	if flags&2 != 0 {
 		r, _, err := encoding.UnmarshalRLE(buf[pos:])
 		if err != nil {
-			return nil, nil, err
+			return codes, nil, err
 		}
-		if r.Len() != int(rows) {
-			return nil, nil, fmt.Errorf("colstore: rle length %d, want %d", r.Len(), rows)
+		if uint64(r.Len()) != rows {
+			return codes, nil, fmt.Errorf("colstore: rle length %d, want %d", r.Len(), rows)
 		}
-		r.DecodeAll(codes)
+		codes.rle = r
 	} else {
 		p, _, err := encoding.UnmarshalPacked(buf[pos:])
 		if err != nil {
-			return nil, nil, err
+			return codes, nil, err
 		}
-		if p.N != int(rows) {
-			return nil, nil, fmt.Errorf("colstore: packed length %d, want %d", p.N, rows)
+		if uint64(p.N) != rows {
+			return codes, nil, fmt.Errorf("colstore: packed length %d, want %d", p.N, rows)
 		}
-		p.DecodeAll(codes)
+		codes.packed = p
 	}
+	codes.rows = int(rows)
 	return codes, nulls, nil
 }
 

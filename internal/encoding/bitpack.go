@@ -33,7 +33,8 @@ func MaxValue(vals []uint64) uint64 {
 
 // Packed is a fixed-width bit-packed vector of uint64 codes. It supports
 // O(1) random access (needed for bookmark fetches into compressed segments)
-// and bulk decode (used by vectorized scans).
+// and chunked decode (used by vectorized scans). Data is only ever read, so a
+// Packed may alias a cached blob.
 type Packed struct {
 	Width int    // bits per value, 1..64
 	N     int    // number of values
@@ -85,17 +86,24 @@ func putBits(data []byte, off, width int, v uint64) {
 	}
 }
 
-// getBits reads width bits at bit offset off.
+// getBits reads width bits at bit offset off with one 64-bit little-endian
+// load; only the last few values of a vector, whose word would run past the
+// end of data, assemble it byte by byte. A value wider than 56 bits at an
+// unaligned offset spans a ninth byte.
 func getBits(data []byte, off, width int) uint64 {
-	byteOff := off / 8
-	bitOff := uint(off % 8)
-	var lo uint64
-	for i := 0; i < 8 && byteOff+i < len(data); i++ {
-		lo |= uint64(data[byteOff+i]) << (8 * uint(i))
+	byteOff := off >> 3
+	shift := uint(off & 7)
+	var v uint64
+	if byteOff+8 <= len(data) {
+		v = binary.LittleEndian.Uint64(data[byteOff:])
+	} else {
+		for i := 0; byteOff+i < len(data); i++ {
+			v |= uint64(data[byteOff+i]) << (8 * uint(i))
+		}
 	}
-	v := lo >> bitOff
-	if int(bitOff)+width > 64 && byteOff+8 < len(data) {
-		v |= uint64(data[byteOff+8]) << (64 - bitOff)
+	v >>= shift
+	if int(shift)+width > 64 && byteOff+8 < len(data) {
+		v |= uint64(data[byteOff+8]) << (64 - shift)
 	}
 	return v & maskFor(width)
 }
@@ -108,39 +116,42 @@ func (p Packed) Get(i int) uint64 {
 	return getBits(p.Data, i*p.Width, p.Width)
 }
 
-// DecodeAll decodes all values into out, which must have length >= N, and
-// returns out[:N]. Widths up to 56 bits take a streaming accumulator path
-// that reads each input byte exactly once — the hot loop of every
-// columnstore scan.
-func (p Packed) DecodeAll(out []uint64) []uint64 {
-	out = out[:p.N]
+// DecodeRange decodes values start, start+1, ... into dst, stopping at the
+// end of dst or of the vector, and returns the filled prefix of dst. Scans
+// call it chunk by chunk with a small caller-owned buffer, so a segment is
+// never expanded whole. Widths up to 56 bits take one unaligned word load
+// per value while eight bytes remain.
+func (p Packed) DecodeRange(start int, dst []uint64) []uint64 {
+	if start < 0 || start > p.N {
+		panic(fmt.Sprintf("encoding: packed range start %d out of range [0,%d]", start, p.N))
+	}
+	dst = dst[:min(len(dst), p.N-start)]
 	w := p.Width
-	if w > 56 {
-		off := 0
-		for i := range out {
-			out[i] = getBits(p.Data, off, w)
+	data := p.Data
+	off := start * w
+	i := 0
+	if w <= 56 {
+		mask := maskFor(w)
+		for ; i < len(dst); i++ {
+			byteOff := off >> 3
+			if byteOff+8 > len(data) {
+				break
+			}
+			dst[i] = binary.LittleEndian.Uint64(data[byteOff:]) >> uint(off&7) & mask
 			off += w
 		}
-		return out
 	}
-	mask := maskFor(w)
-	data := p.Data
-	var acc uint64
-	nbits := 0
-	pos := 0
-	for i := range out {
-		for nbits < w {
-			if pos < len(data) {
-				acc |= uint64(data[pos]) << uint(nbits)
-				pos++
-			}
-			nbits += 8
-		}
-		out[i] = acc & mask
-		acc >>= uint(w)
-		nbits -= w
+	for ; i < len(dst); i++ {
+		dst[i] = getBits(data, off, w)
+		off += w
 	}
-	return out
+	return dst
+}
+
+// DecodeAll decodes all values into out, which must have length >= N, and
+// returns out[:N].
+func (p Packed) DecodeAll(out []uint64) []uint64 {
+	return p.DecodeRange(0, out[:p.N])
 }
 
 // SizeBytes reports the payload size of the packed data.
@@ -155,6 +166,7 @@ func (p Packed) Marshal(dst []byte) []byte {
 }
 
 // UnmarshalPacked decodes a Packed from buf, returning it and the bytes read.
+// The returned Data aliases buf.
 func UnmarshalPacked(buf []byte) (Packed, int, error) {
 	var p Packed
 	pos := 0

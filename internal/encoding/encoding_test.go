@@ -66,6 +66,47 @@ func TestPackMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// Every width, at lengths whose packed data ends with fewer than eight bytes
+// after the last value's first byte (where the word load must fall back to
+// the bounded tail read) and at lengths long enough for the fast path:
+// Get and chunked DecodeRange from every start match the packed input.
+func TestPackedAccessAllWidths(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for w := 1; w <= 64; w++ {
+		for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 200} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64() & maskFor(w)
+			}
+			vals[n-1] = maskFor(w) // the last value uses every bit of its width
+			p := PackSliceWidth(vals, w)
+			checkAccess(t, "packed", vals, p.Get, p.DecodeRange)
+		}
+	}
+}
+
+// The run cursor agrees with Get across runs of length 1 (every read moves
+// a run) and long runs (reads stay in one), in ascending, sparse and random
+// order.
+func TestRLECursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var vals []uint64
+	for run := 0; run < 300; run++ {
+		v, n := rng.Uint64()%7, 1+rng.Intn(3)
+		if run%10 == 0 {
+			n = 1 + rng.Intn(200)
+		}
+		for k := 0; k < n; k++ {
+			vals = append(vals, v)
+		}
+	}
+	r := RLEEncode(vals)
+	for seed := int64(0); seed < 16; seed++ {
+		checkCursor(t, r, vals, seed)
+	}
+	checkAccess(t, "rle", vals, r.Get, r.DecodeRange)
+}
+
 func TestPackGetPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

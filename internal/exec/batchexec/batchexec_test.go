@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -85,30 +86,13 @@ func reference(rows []sqltypes.Row, pred func(sqltypes.Row) bool, proj []int) ma
 	return out
 }
 
-// rowKey canonicalizes one row for order-insensitive comparison. Float values
-// are rounded to 8 significant digits: parallel partial aggregation adds
-// floats in a different order than the serial pipeline, so sums legitimately
-// differ in the last few ulps while any real defect is orders of magnitude
-// larger.
+// rowKey canonicalizes one row for exact, order-insensitive comparison.
 func rowKey(r sqltypes.Row) string {
 	key := ""
 	for _, v := range r {
-		if v.Typ == sqltypes.Float64 && !v.Null {
-			v.F = roundSig(v.F)
-		}
 		key += v.String() + "|"
 	}
 	return key
-}
-
-// roundSig rounds f to 8 significant digits (keeping Value.String formatting
-// intact for integral floats).
-func roundSig(f float64) float64 {
-	if f == 0 || math.IsNaN(f) || math.IsInf(f, 0) {
-		return f
-	}
-	scale := math.Pow(10, 8-math.Ceil(math.Log10(math.Abs(f))))
-	return math.Round(f*scale) / scale
 }
 
 // rowMultiset canonicalizes rows into an order-insensitive multiset. Parallel
@@ -145,11 +129,68 @@ func multisetDiff(got, want map[string]int) string {
 	return strings.Join(diffs, "\n")
 }
 
-// assertSameRows asserts two row sets are equal irrespective of order.
+// floatTolerance is the relative difference under which two float results
+// count as equal. Parallel aggregation merges partial sums in a different
+// order than the serial pipeline; compensated summation keeps them within an
+// ulp or two (~1e-16), far inside it, while any real defect is orders of
+// magnitude larger.
+const floatTolerance = 1e-12
+
+// sortedRows returns rows ordered column by column.
+func sortedRows(rows []sqltypes.Row) []sqltypes.Row {
+	out := append([]sqltypes.Row(nil), rows...)
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		for c := 0; c < len(a) && c < len(b); c++ {
+			if d := sqltypes.Compare(a[c], b[c]); d != 0 {
+				return d < 0
+			}
+		}
+		return len(a) < len(b)
+	})
+	return out
+}
+
+// rowsClose reports whether two rows are equal, floats within floatTolerance.
+func rowsClose(a, b sqltypes.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for c := range a {
+		x, y := a[c], b[c]
+		if x.Typ == sqltypes.Float64 && y.Typ == sqltypes.Float64 && !x.Null && !y.Null {
+			if math.Abs(x.F-y.F) > floatTolerance*math.Max(math.Abs(x.F), math.Abs(y.F)) {
+				return false
+			}
+			continue
+		}
+		if x.Null != y.Null || x.String() != y.String() {
+			return false
+		}
+	}
+	return true
+}
+
+// assertSameRows asserts two row sets are equal irrespective of order: both
+// are sorted and matched pairwise, floats within floatTolerance.
 func assertSameRows(t *testing.T, label string, got, want []sqltypes.Row) {
 	t.Helper()
-	if d := multisetDiff(rowMultiset(got), rowMultiset(want)); d != "" {
-		t.Errorf("%s: result mismatch (order-insensitive):\n%s", label, d)
+	if len(got) != len(want) {
+		t.Errorf("%s: %d rows, want %d", label, len(got), len(want))
+		return
+	}
+	g, w := sortedRows(got), sortedRows(want)
+	bad := 0
+	for i := range g {
+		if !rowsClose(g[i], w[i]) {
+			if bad < 8 {
+				t.Errorf("%s: sorted row %d: got %v, want %v", label, i, g[i], w[i])
+			}
+			bad++
+		}
+	}
+	if bad > 8 {
+		t.Errorf("%s: ... and %d more mismatched rows", label, bad-8)
 	}
 }
 

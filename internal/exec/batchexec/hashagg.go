@@ -67,7 +67,7 @@ type aggGroup struct {
 type aggAcc struct {
 	count    int64
 	sumI     int64
-	sumF     float64
+	sumF     exec.FloatSum
 	min, max sqltypes.Value
 	seen     bool
 	distinct map[string]bool
@@ -106,7 +106,7 @@ func (g *aggGroup) add(aggs []exec.AggSpec, row sqltypes.Row) {
 		switch spec.Kind {
 		case exec.Sum, exec.Avg:
 			st.sumI += v.I
-			st.sumF += v.AsFloat()
+			st.sumF.Add(v.AsFloat())
 		case exec.Min:
 			if !st.seen || sqltypes.Compare(v, st.min) < 0 {
 				st.min = v
@@ -129,7 +129,7 @@ func (g *aggGroup) merge(aggs []exec.AggSpec, o *aggGroup) {
 		st, os := &g.states[i], &o.states[i]
 		st.count += os.count
 		st.sumI += os.sumI
-		st.sumF += os.sumF
+		st.sumF.Merge(os.sumF)
 		if os.seen {
 			if !st.seen || sqltypes.Compare(os.min, st.min) < 0 {
 				st.min = os.min
@@ -156,7 +156,7 @@ func (g *aggGroup) finalize(aggs []exec.AggSpec) sqltypes.Row {
 			case st.count == 0:
 				out = append(out, sqltypes.NewNull(spec.ResultType()))
 			case spec.ResultType() == sqltypes.Float64:
-				out = append(out, sqltypes.NewFloat(st.sumF))
+				out = append(out, sqltypes.NewFloat(st.sumF.Value()))
 			default:
 				out = append(out, sqltypes.NewInt(st.sumI))
 			}
@@ -164,7 +164,7 @@ func (g *aggGroup) finalize(aggs []exec.AggSpec) sqltypes.Row {
 			if st.count == 0 {
 				out = append(out, sqltypes.NewNull(sqltypes.Float64))
 			} else {
-				out = append(out, sqltypes.NewFloat(st.sumF/float64(st.count)))
+				out = append(out, sqltypes.NewFloat(st.sumF.Value()/float64(st.count)))
 			}
 		case exec.Min:
 			if !st.seen {
@@ -652,7 +652,7 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 				st := &g.states[k]
 				st.count++
 				st.sumI += vals[i]
-				st.sumF += float64(vals[i])
+				st.sumF.Add(float64(vals[i]))
 			}
 		} else {
 			for i, g := range ptrs {
@@ -662,7 +662,7 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 				st := &g.states[k]
 				st.count++
 				st.sumI += vals[i]
-				st.sumF += float64(vals[i])
+				st.sumF.Add(float64(vals[i]))
 			}
 		}
 	case (spec.Kind == exec.Sum || spec.Kind == exec.Avg) && argVec.Typ == sqltypes.Float64:
@@ -673,7 +673,7 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 			}
 			st := &g.states[k]
 			st.count++
-			st.sumF += vals[i]
+			st.sumF.Add(vals[i])
 		}
 	default: // Min, Max, Count over any type
 		for i, g := range ptrs {
@@ -694,7 +694,7 @@ func (st *aggAcc) add(kind exec.AggKind, v sqltypes.Value) {
 	switch kind {
 	case exec.Sum, exec.Avg:
 		st.sumI += v.I
-		st.sumF += v.AsFloat()
+		st.sumF.Add(v.AsFloat())
 	case exec.Min:
 		if !st.seen || sqltypes.Compare(v, st.min) < 0 {
 			st.min = v

@@ -1,9 +1,12 @@
 package batchexec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"apollo/internal/bloom"
+	"apollo/internal/colstore"
 	"apollo/internal/exec"
 	"apollo/internal/exec/rowexec"
 	"apollo/internal/expr"
@@ -399,5 +402,270 @@ func TestQuickStringSpillParity(t *testing.T) {
 	}
 	if jwant := rowModeRows(t, rj); !mapsEqual(jbatch, jwant) {
 		t.Fatalf("spilled string join diverged: batch %d keys, row %d keys", len(jbatch), len(jwant))
+	}
+}
+
+// --- Selection shapes: batch scan vs row engine, stats vs a full decode ---
+
+// selSchema's columns each put one segment shape in front of the scan's
+// selection: k runs in long runs with whole runs NULL (RLE with NULLs), v is
+// random and NULL every 11th row (bit-packed with NULLs), cat draws from more
+// values than the primary dictionary admits and is NULL every 13th row
+// (local dictionaries with NULLs), and f is a nullable scaled float.
+func selSchema() *sqltypes.Schema {
+	return sqltypes.NewSchema(
+		sqltypes.Column{Name: "id", Typ: sqltypes.Int64},
+		sqltypes.Column{Name: "k", Typ: sqltypes.Int64, Nullable: true},
+		sqltypes.Column{Name: "v", Typ: sqltypes.Int64, Nullable: true},
+		sqltypes.Column{Name: "cat", Typ: sqltypes.String, Nullable: true},
+		sqltypes.Column{Name: "f", Typ: sqltypes.Float64, Nullable: true},
+	)
+}
+
+const selGroupRows = 500
+
+// loadSelTable loads four 500-row groups, in id order, plus 150 delta rows,
+// then deletes 80 % of group 0, 50 % of group 1, nothing of group 2, a
+// seventh of group 3 and a fifth of the delta rows.
+func loadSelTable(t *testing.T) *table.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(41))
+	var rows []sqltypes.Row
+	for i := 0; i < 4*selGroupRows+150; i++ {
+		k := sqltypes.NewInt(int64(i/40) % 17)
+		if (i/40)%5 == 3 {
+			k = sqltypes.NewNull(sqltypes.Int64)
+		}
+		v := sqltypes.NewInt(2 * int64(rng.Intn(1000))) // even values only
+		if i%11 == 0 {
+			v = sqltypes.NewNull(sqltypes.Int64)
+		}
+		cat := sqltypes.NewString(fmt.Sprintf("c%d", rng.Intn(200)))
+		if i%13 == 0 {
+			cat = sqltypes.NewNull(sqltypes.String)
+		}
+		f := sqltypes.NewFloat(float64(rng.Intn(10000)) / 100)
+		if i%17 == 0 {
+			f = sqltypes.NewNull(sqltypes.Float64)
+		}
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), k, v, cat, f})
+	}
+	cs := table.DefaultOptions().Columnstore
+	cs.Reorder = false // keep id order, so runs and group membership are as generated
+	cs.PrimaryDictCap = 40
+	opts := table.Options{RowGroupSize: selGroupRows, BulkLoadThreshold: 100, Columnstore: cs}
+	tb := table.New(storage.NewStore(storage.DefaultBufferPoolBytes), "sel", selSchema(), opts)
+	if err := tb.BulkLoad(rows[:4*selGroupRows]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.InsertMany(rows[4*selGroupRows:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.DeleteWhere(func(r sqltypes.Row) bool {
+		id := r[0].I
+		switch id / selGroupRows {
+		case 0:
+			return id%5 != 0
+		case 1:
+			return id%2 == 0
+		case 2:
+			return false
+		case 3:
+			return id%7 == 3
+		default:
+			return id%5 == 1
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// decodedColumn expands one column of a group whole — the eager decode the
+// scan no longer does — into values, NULLs included.
+func decodedColumn(t *testing.T, snap *table.Snapshot, g *colstore.RowGroup, col int) []sqltypes.Value {
+	t.Helper()
+	r, err := snap.OpenColumn(g, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := r.DecodeRange(0, make([]uint64, r.Len()))
+	vals := make([]sqltypes.Value, len(codes))
+	for i, c := range codes {
+		if r.IsNull(i) {
+			vals[i] = sqltypes.NewNull(r.Col.Typ)
+		} else {
+			vals[i] = r.DecodeCode(c)
+		}
+	}
+	return vals
+}
+
+// referenceCounts recomputes a scan's RowsAfterRange and RowsAfterBloom from
+// fully decoded columns: per live row of every group that segment
+// elimination keeps, the pushdowns and dictionary predicates, then the Bloom
+// filters, each rejecting NULL.
+func referenceCounts(t *testing.T, s *Scan) (afterRange, afterBloom int64) {
+	t.Helper()
+	holds := func(pred expr.Expr, v sqltypes.Value) bool {
+		res := pred.Eval(sqltypes.Row{v})
+		return !res.Null && res.I != 0
+	}
+	for _, g := range s.Snap.Groups {
+		kept := true
+		for _, p := range s.Pushdowns {
+			kept = kept && g.Segs[p.Col].CanMatchRange(p.Lo, p.Hi)
+		}
+		if !kept {
+			continue
+		}
+		cols := map[int][]sqltypes.Value{}
+		val := func(col, i int) sqltypes.Value {
+			if cols[col] == nil {
+				cols[col] = decodedColumn(t, s.Snap, g, col)
+			}
+			return cols[col][i]
+		}
+		del := s.Snap.Deletes[g.ID]
+	rows:
+		for i := 0; i < g.Rows; i++ {
+			if del != nil && del.Get(i) {
+				continue
+			}
+			for _, p := range s.Pushdowns {
+				if v := val(p.Col, i); v.Null || !inRange(v, p.Lo, p.Hi) {
+					continue rows
+				}
+			}
+			for _, dp := range s.DictPreds {
+				if v := val(dp.Col, i); v.Null || !holds(dp.Pred, v) {
+					continue rows
+				}
+			}
+			afterRange++
+			for _, bp := range s.Blooms {
+				if v := val(bp.Col, i); v.Null || !bp.Target.F.MayContain(v) {
+					continue rows
+				}
+			}
+			afterBloom++
+		}
+	}
+	return afterRange, afterBloom
+}
+
+// Property: over groups that are mostly deleted, groups whose first filter
+// leaves nothing, groups with no filter at all, and RLE and bit-packed
+// segments with NULLs and local dictionaries, the batch scan returns the row
+// engine's rows (with the Bloom filter applied to them identically), at
+// DOP 1 and 2, and counts the rows after pushdown and after Bloom exactly as
+// a full decode of every segment does.
+func TestQuickSelectionShapes(t *testing.T) {
+	tb := loadSelTable(t)
+	snap := tb.Snapshot()
+	var rle, packed, local bool
+	for _, g := range snap.Groups {
+		for _, m := range g.Segs {
+			rle = rle || (m.Comp == colstore.CompRLE && m.NullCount > 0)
+			packed = packed || (m.Comp == colstore.CompBitPack && m.NullCount > 0)
+			local = local || (m.LocalDict != 0 && m.NullCount > 0)
+		}
+	}
+	if !rle || !packed || !local {
+		t.Fatalf("fixture lost a segment shape: RLE+NULL %v, bit-packed+NULL %v, local dictionary+NULL %v", rle, packed, local)
+	}
+
+	i64 := func(n int64) sqltypes.Value { return sqltypes.NewInt(n) }
+	str := sqltypes.NewString
+	cat := expr.NewColRef(0, "cat", sqltypes.String) // dictionary predicates see a one-column row
+	bloomOf := func(vals ...sqltypes.Value) *bloom.Filter {
+		f := bloom.New(len(vals), 10)
+		for _, v := range vals {
+			f.Add(v)
+		}
+		return f
+	}
+	var someV []sqltypes.Value
+	for n := int64(0); n < 2000; n += 14 {
+		someV = append(someV, i64(n))
+	}
+	cases := []struct {
+		name      string
+		pushdowns []Pushdown
+		dictPreds []DictPred
+		bloomCol  int
+		bloom     *bloom.Filter
+	}{
+		{name: "no filter"},
+		{name: "first filter leaves nothing",
+			pushdowns: []Pushdown{{Col: 2, Lo: i64(1001), Hi: i64(1001)}}, // v is always even
+			dictPreds: []DictPred{{Col: 3, Pred: expr.NewLike(cat, "c1%", false)}},
+			bloomCol:  1, bloom: bloomOf(i64(3))},
+		{name: "RLE pushdown, then dictionary predicate and Bloom on survivors",
+			pushdowns: []Pushdown{{Col: 1, Lo: i64(3), Hi: i64(12)}},
+			dictPreds: []DictPred{{Col: 3, Pred: expr.NewOr(expr.NewLike(cat, "c1%", false), expr.NewLike(cat, "%9", false))}},
+			bloomCol:  2, bloom: bloomOf(someV...)},
+		{name: "bit-packed pushdown with NULLs",
+			pushdowns: []Pushdown{{Col: 2, Lo: i64(100), Hi: i64(900)}}},
+		{name: "string range across local dictionaries",
+			pushdowns: []Pushdown{{Col: 3, Lo: str("c150"), Hi: str("c199")}}},
+		{name: "float pushdown, then RLE pushdown on survivors",
+			pushdowns: []Pushdown{{Col: 4, Lo: sqltypes.NewFloat(10.5), Hi: sqltypes.NewFloat(60)}, {Col: 1, Lo: i64(0), Hi: i64(8)}}},
+		{name: "Bloom on a dictionary column is the first filter",
+			bloomCol: 3, bloom: bloomOf(str("c7"), str("c77"), str("c177"), str("c5"))},
+		{name: "pushdown selecting only deleted rows of group 0",
+			pushdowns: []Pushdown{{Col: 0, Lo: i64(1), Hi: i64(4)}}},
+	}
+	all := []int{0, 1, 2, 3, 4}
+	for _, c := range cases {
+		// Row engine: the pushdowns and dictionary predicates as a filter
+		// over the table row; the Bloom filter applied to its output.
+		var conj []expr.Expr
+		for _, p := range c.pushdowns {
+			typ := selSchema().Cols[p.Col].Typ
+			ref := expr.NewColRef(p.Col, "c", typ)
+			conj = append(conj, expr.NewCmp(expr.GE, ref, expr.NewConst(p.Lo)), expr.NewCmp(expr.LE, ref, expr.NewConst(p.Hi)))
+		}
+		for _, dp := range c.dictPreds {
+			conj = append(conj, expr.Remap(dp.Pred, map[int]int{0: dp.Col}))
+		}
+		var filter expr.Expr
+		if len(conj) > 0 {
+			filter = expr.NewAnd(conj...)
+		}
+		rowRows, err := rowexec.Drain(rowexec.NewScan(snap, filter, all))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.bloom != nil {
+			kept := rowRows[:0]
+			for _, r := range rowRows {
+				if v := r[c.bloomCol]; !v.Null && c.bloom.MayContain(v) {
+					kept = append(kept, r)
+				}
+			}
+			rowRows = kept
+		}
+		want := rowMultiset(rowRows)
+
+		for _, dop := range []int{1, 2} {
+			scan := NewScan(snap, all)
+			scan.Pushdowns, scan.DictPreds, scan.Parallel = c.pushdowns, c.dictPreds, dop
+			if c.bloom != nil {
+				scan.Blooms = []BloomPred{{Col: c.bloomCol, Target: &BloomTarget{F: c.bloom}}}
+			}
+			rows, err := Drain(scan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := multisetDiff(rowMultiset(rows), want); d != "" {
+				t.Fatalf("%s, dop %d: batch scan differs from the row engine:\n%s", c.name, dop, d)
+			}
+			afterRange, afterBloom := referenceCounts(t, scan)
+			if scan.Stats.RowsAfterRange != afterRange || scan.Stats.RowsAfterBloom != afterBloom {
+				t.Fatalf("%s, dop %d: RowsAfterRange/RowsAfterBloom = %d/%d, full decode says %d/%d",
+					c.name, dop, scan.Stats.RowsAfterRange, scan.Stats.RowsAfterBloom, afterRange, afterBloom)
+			}
+		}
 	}
 }

@@ -88,9 +88,10 @@ type Scan struct {
 	ctx    context.Context // query context, set by Open
 
 	// Serial iteration state.
-	gi     int
-	cur    *groupCursor
-	deltaI int
+	gi      int
+	cur     *groupCursor
+	deltaI  int
+	scratch *scanScratch
 
 	// Parallel state. cancel aborts the workers' derived context; it fires
 	// on Close, on query-context cancellation (inherited), and on the first
@@ -137,6 +138,11 @@ func (s *Scan) Open(ctx context.Context) error {
 
 // Close implements Operator.
 func (s *Scan) Close() error {
+	if s.scratch != nil {
+		s.cur = nil // the cursor reads the scratch buffers
+		scratchPool.Put(s.scratch)
+		s.scratch = nil
+	}
 	if s.cancel != nil {
 		s.cancel()
 		// Drain so workers unblock and exit.
@@ -181,7 +187,10 @@ func (s *Scan) Next() (*vector.Batch, error) {
 			}
 			g := s.Snap.Groups[s.gi]
 			s.gi++
-			cur, err := s.openGroup(g)
+			if s.scratch == nil {
+				s.scratch = scratchPool.Get().(*scanScratch)
+			}
+			cur, err := s.openGroup(g, s.scratch)
 			if err != nil {
 				return nil, qerr.WithGroup("scan", g.ID, err)
 			}
@@ -202,17 +211,132 @@ func (s *Scan) Next() (*vector.Batch, error) {
 
 // --- Row-group processing ---
 
+// filterChunk is the number of codes a filter decodes at a time.
+const filterChunk = 1024
+
+// scanScratch is one goroutine's buffers for processing row groups one
+// after another: a group's cursor uses them until it is exhausted, and the
+// next group reuses them. Batches never retain them (gathers copy values).
+type scanScratch struct {
+	codes []uint64 // one chunk of codes
+	chunk []int    // the rows of one chunk
+	ids   []int    // a selection's survivors
+	batch []int    // the rows of one batch of an implicit selection
+}
+
+// scratchPool recycles scan buffers across scans and queries.
+var scratchPool = sync.Pool{New: func() any {
+	return &scanScratch{
+		codes: make([]uint64, filterChunk),
+		chunk: make([]int, 0, filterChunk),
+		batch: make([]int, 0, vector.DefaultBatchSize),
+	}
+}}
+
+// selection is the set of a row group's qualifying rows. It starts implicit
+// — every row not in the snapshot's delete bitmap — with nothing
+// materialised. The first filter walks the group in chunks of decoded codes
+// and records only its survivors in ids; later filters narrow ids in place,
+// reading the codes of survivors only.
+type selection struct {
+	rows     int
+	del      *bits.Bitmap // snapshot deletes; nil = none
+	n        int          // rows selected
+	explicit bool         // ids holds the selection
+	ids      []int        // ascending selected rows, once explicit
+	next     int          // iteration position: a row while implicit, else an index into ids
+}
+
+// keepFunc narrows one chunk of a filter's input: ids are candidate rows, none
+// of them NULL in the filtered column, and codes their codes, index-aligned.
+// It returns the surviving prefix of ids, compacted in place.
+type keepFunc func(ids []int, codes []uint64) []int
+
+// narrow keeps the selected rows that are not NULL in r's column and whose
+// code passes keep.
+func (s *selection) narrow(r *colstore.ColumnReader, keep keepFunc, sc *scanScratch) {
+	nulls := r.Nulls()
+	if !s.explicit {
+		out := sc.ids[:0]
+		for start := 0; start < s.rows; start += filterChunk {
+			codes := r.DecodeRange(start, sc.codes)
+			ids := sc.chunk[:0]
+			if s.del == nil && nulls == nil {
+				for k := range codes {
+					ids = append(ids, start+k)
+				}
+			} else {
+				live := codes[:0]
+				for k, c := range codes {
+					if i := start + k; (s.del == nil || !s.del.Get(i)) && (nulls == nil || !nulls.Get(i)) {
+						ids = append(ids, i)
+						live = append(live, c)
+					}
+				}
+				codes = live
+			}
+			out = append(out, keep(ids, codes)...)
+		}
+		sc.ids = out
+		s.ids, s.explicit = out, true
+		s.n = len(out)
+		return
+	}
+	w := 0
+	for at := 0; at < len(s.ids); at += filterChunk {
+		ids := s.ids[at:min(at+filterChunk, len(s.ids))]
+		codes := r.CodesAt(ids, sc.codes)
+		if nulls != nil {
+			m := 0
+			for k, i := range ids {
+				if !nulls.Get(i) {
+					ids[m], codes[m] = i, codes[k]
+					m++
+				}
+			}
+			ids, codes = ids[:m], codes[:m]
+		}
+		w += copy(s.ids[w:], keep(ids, codes))
+	}
+	s.ids = s.ids[:w]
+	s.n = w
+}
+
+// clear empties the selection.
+func (s *selection) clear() {
+	s.ids, s.explicit, s.n = s.ids[:0], true, 0
+}
+
+// nextIDs returns the next at most max selected rows, ascending; empty when
+// the selection is exhausted. An implicit selection produces them on demand
+// into buf.
+func (s *selection) nextIDs(max int, buf []int) []int {
+	if s.explicit {
+		end := min(s.next+max, len(s.ids))
+		ids := s.ids[s.next:end]
+		s.next = end
+		return ids
+	}
+	ids := buf[:0]
+	for ; s.next < s.rows && len(ids) < max; s.next++ {
+		if s.del == nil || !s.del.Get(s.next) {
+			ids = append(ids, s.next)
+		}
+	}
+	return ids
+}
+
 type groupCursor struct {
 	scan    *Scan
 	readers []*colstore.ColumnReader // one per output column
-	qual    []int                    // qualifying physical row indices
-	off     int
+	sel     selection
+	scratch *scanScratch
 }
 
 // openGroup applies segment elimination and encoded-domain filtering,
 // returning a cursor over qualifying rows, or nil when the group is
-// eliminated or empties out.
-func (s *Scan) openGroup(g *colstore.RowGroup) (*groupCursor, error) {
+// eliminated or empties out. The cursor uses sc until it is exhausted.
+func (s *Scan) openGroup(g *colstore.RowGroup, sc *scanScratch) (*groupCursor, error) {
 	st := s.Stats
 	atomic.AddInt64(&st.Groups, 1)
 	mScanGroups.Inc()
@@ -229,20 +353,16 @@ func (s *Scan) openGroup(g *colstore.RowGroup) (*groupCursor, error) {
 	atomic.AddInt64(&st.RowsConsidered, int64(g.Rows))
 	mScanRowsConsidered.Add(int64(g.Rows))
 
-	// Encoded-domain pushdown: narrow a qualifying index list using codes.
-	qual := make([]int, 0, g.Rows)
-	del := s.Snap.Deletes[g.ID]
-	for i := 0; i < g.Rows; i++ {
-		if del == nil || !del.Get(i) {
-			qual = append(qual, i)
-		}
+	sel := selection{rows: g.Rows, n: g.Rows, del: s.Snap.Deletes[g.ID]}
+	if sel.del != nil {
+		sel.n -= sel.del.Count()
 	}
-	atomic.AddInt64(&st.RowsDeleted, int64(g.Rows-len(qual)))
-	mScanRowsDeleted.Add(int64(g.Rows - len(qual)))
+	atomic.AddInt64(&st.RowsDeleted, int64(g.Rows-sel.n))
+	mScanRowsDeleted.Add(int64(g.Rows - sel.n))
 
-	openCache := map[int]*colstore.ColumnReader{}
+	opened := make([]*colstore.ColumnReader, len(g.Segs))
 	open := func(col int) (*colstore.ColumnReader, error) {
-		if r, ok := openCache[col]; ok {
+		if r := opened[col]; r != nil {
 			return r, nil
 		}
 		r, err := s.Snap.OpenColumn(g, col)
@@ -250,35 +370,40 @@ func (s *Scan) openGroup(g *colstore.RowGroup) (*groupCursor, error) {
 			return nil, err
 		}
 		atomic.AddInt64(&st.SegmentsOpened, 1)
-		openCache[col] = r
+		opened[col] = r
 		return r, nil
 	}
 
+	// Encoded-domain pushdown.
 	for _, p := range s.Pushdowns {
-		if len(qual) == 0 {
+		if sel.n == 0 {
 			break
 		}
 		r, err := open(p.Col)
 		if err != nil {
 			return nil, err
 		}
-		qual = filterByRange(r, p, qual)
+		if keep := rangeFilter(r, p); keep != nil {
+			sel.narrow(r, keep, sc)
+		} else {
+			sel.clear()
+		}
 	}
 	for _, dp := range s.DictPreds {
-		if len(qual) == 0 {
+		if sel.n == 0 {
 			break
 		}
 		r, err := open(dp.Col)
 		if err != nil {
 			return nil, err
 		}
-		qual = filterByDictPred(r, dp.Pred, qual)
+		sel.narrow(r, dictPredFilter(r, dp.Pred), sc)
 	}
-	atomic.AddInt64(&st.RowsAfterRange, int64(len(qual)))
+	atomic.AddInt64(&st.RowsAfterRange, int64(sel.n))
 
 	// Bitmap (Bloom) filters on encoded or decoded values.
 	for _, bp := range s.Blooms {
-		if len(qual) == 0 {
+		if sel.n == 0 {
 			break
 		}
 		if bp.Target == nil || bp.Target.F == nil {
@@ -288,11 +413,11 @@ func (s *Scan) openGroup(g *colstore.RowGroup) (*groupCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		qual = filterByBloom(r, bp.Target.F, qual)
+		sel.narrow(r, bloomFilter(r, bp.Target.F), sc)
 	}
-	atomic.AddInt64(&st.RowsAfterBloom, int64(len(qual)))
+	atomic.AddInt64(&st.RowsAfterBloom, int64(sel.n))
 
-	if len(qual) == 0 {
+	if sel.n == 0 {
 		return nil, nil
 	}
 
@@ -304,83 +429,73 @@ func (s *Scan) openGroup(g *colstore.RowGroup) (*groupCursor, error) {
 		}
 		readers[i] = r
 	}
-	return &groupCursor{scan: s, readers: readers, qual: qual}, nil
+	return &groupCursor{scan: s, readers: readers, sel: sel, scratch: sc}, nil
 }
 
-// filterByRange narrows qual to rows whose column value lies in the pushdown
-// range, working in code space when the encoding is order-preserving and on
-// dictionary code sets otherwise. NULLs never qualify.
-func filterByRange(r *colstore.ColumnReader, p Pushdown, qual []int) []int {
-	codes := r.Codes()
-	nulls := r.Nulls()
-	out := qual[:0]
-
-	if cLo, cHi, ok := r.CodeRange(p.Lo, p.Hi); ok {
-		if cLo > cHi {
-			return out // provably empty
+// rangeFilter returns the chunk filter of a range pushdown: a code-range
+// compare when the encoding preserves order, the set of matching dictionary
+// codes for strings, and a decode-and-compare otherwise (raw floats). It
+// returns nil when the range provably matches no row of the segment.
+func rangeFilter(r *colstore.ColumnReader, p Pushdown) keepFunc {
+	if lo, hi, ok := r.CodeRange(p.Lo, p.Hi); ok {
+		if lo > hi {
+			return nil
 		}
-		if nulls == nil {
-			for _, i := range qual {
-				if c := codes[i]; c >= cLo && c <= cHi {
-					out = append(out, i)
+		return func(ids []int, codes []uint64) []int {
+			out := ids[:0]
+			for k, c := range codes {
+				if c-lo <= hi-lo { // lo <= c <= hi in one unsigned compare
+					out = append(out, ids[k])
 				}
 			}
-		} else {
-			for _, i := range qual {
-				if c := codes[i]; c >= cLo && c <= cHi && !nulls.Get(i) {
-					out = append(out, i)
-				}
-			}
+			return out
 		}
-		return out
 	}
-
+	holds := func(v sqltypes.Value) bool { return inRange(v, p.Lo, p.Hi) }
 	if r.Meta.Enc == colstore.EncDict {
 		// Evaluate the range once per dictionary entry (string predicates on
 		// compressed data).
-		set := r.CodeSetMatching(func(v sqltypes.Value) bool {
-			return inRange(v, p.Lo, p.Hi)
-		})
-		return filterByCodeSet(codes, nulls, set, qual)
+		return keepCodeSet(r.CodeSetMatching(holds))
 	}
-
-	// Fallback: decode and compare (raw-float encodings).
-	for _, i := range qual {
-		if nulls != nil && nulls.Get(i) {
-			continue
-		}
-		if inRange(r.DecodeCode(codes[i]), p.Lo, p.Hi) {
-			out = append(out, i)
-		}
-	}
-	return out
+	return keepDecoded(r, holds)
 }
 
-// filterByDictPred narrows qual by an arbitrary predicate, evaluated once
-// per dictionary entry for dictionary-encoded segments and per decoded value
-// otherwise. NULL rows never qualify (the planner guarantees the predicate
-// is not true on NULL).
-func filterByDictPred(r *colstore.ColumnReader, pred expr.Expr, qual []int) []int {
+// dictPredFilter returns the chunk filter of an arbitrary predicate,
+// evaluated once per dictionary entry for dictionary-encoded segments and per
+// decoded value otherwise. NULL rows never reach it (the planner guarantees
+// the predicate is not true on NULL).
+func dictPredFilter(r *colstore.ColumnReader, pred expr.Expr) keepFunc {
 	holds := func(v sqltypes.Value) bool {
 		res := pred.Eval(sqltypes.Row{v})
 		return !res.Null && res.I != 0
 	}
-	codes := r.Codes()
-	nulls := r.Nulls()
 	if r.Meta.Enc == colstore.EncDict {
-		set := r.CodeSetMatching(holds)
-		return filterByCodeSet(codes, nulls, set, qual)
+		return keepCodeSet(r.CodeSetMatching(holds))
 	}
-	out := qual[:0]
-	for _, i := range qual {
-		if nulls != nil && nulls.Get(i) {
-			continue
-		}
-		if holds(r.DecodeCode(codes[i])) {
-			out = append(out, i)
+	return keepDecoded(r, holds)
+}
+
+// bloomFilter returns the chunk filter testing rows against a join bitmap
+// filter. Dictionary columns test each distinct dictionary entry once;
+// integer-family columns decode and hash in a tight loop; other columns hash
+// decoded values.
+func bloomFilter(r *colstore.ColumnReader, f *bloom.Filter) keepFunc {
+	if r.Meta.Enc == colstore.EncDict {
+		return keepCodeSet(r.CodeSetMatching(f.MayContain))
+	}
+	if r.Col.Typ != sqltypes.Float64 && r.Meta.Numeric.Kind != encoding.NumFloatRaw {
+		num := r.Meta.Numeric
+		return func(ids []int, codes []uint64) []int {
+			out := ids[:0]
+			for k, c := range codes {
+				if f.MayContainInt(num.DecodeInt(c)) {
+					out = append(out, ids[k])
+				}
+			}
+			return out
 		}
 	}
-	return out
+	return keepDecoded(r, f.MayContain)
 }
 
 func inRange(v, lo, hi sqltypes.Value) bool {
@@ -393,71 +508,44 @@ func inRange(v, lo, hi sqltypes.Value) bool {
 	return true
 }
 
-func filterByCodeSet(codes []uint64, nulls *bits.Bitmap, set *bits.Bitmap, qual []int) []int {
-	out := qual[:0]
-	for _, i := range qual {
-		if nulls != nil && nulls.Get(i) {
-			continue
-		}
-		if set.Get(int(codes[i])) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// filterByBloom narrows qual to rows whose column value may be in the filter.
-// Dictionary columns test each distinct dictionary entry once; integer-family
-// columns decode and hash in a tight loop; other columns hash decoded values.
-func filterByBloom(r *colstore.ColumnReader, f *bloom.Filter, qual []int) []int {
-	codes := r.Codes()
-	nulls := r.Nulls()
-	if r.Meta.Enc == colstore.EncDict {
-		set := r.CodeSetMatching(func(v sqltypes.Value) bool { return f.MayContain(v) })
-		return filterByCodeSet(codes, nulls, set, qual)
-	}
-	out := qual[:0]
-	if r.Col.Typ != sqltypes.Float64 && r.Meta.Numeric.Kind != encoding.NumFloatRaw {
-		num := r.Meta.Numeric
-		if nulls == nil {
-			for _, i := range qual {
-				if f.MayContainInt(num.DecodeInt(codes[i])) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		for _, i := range qual {
-			if !nulls.Get(i) && f.MayContainInt(num.DecodeInt(codes[i])) {
-				out = append(out, i)
+// keepCodeSet keeps rows whose code is in set.
+func keepCodeSet(set *bits.Bitmap) keepFunc {
+	return func(ids []int, codes []uint64) []int {
+		out := ids[:0]
+		for k, c := range codes {
+			if set.Get(int(c)) {
+				out = append(out, ids[k])
 			}
 		}
 		return out
 	}
-	for _, i := range qual {
-		if nulls != nil && nulls.Get(i) {
-			continue
+}
+
+// keepDecoded keeps rows whose decoded value satisfies holds.
+func keepDecoded(r *colstore.ColumnReader, holds func(sqltypes.Value) bool) keepFunc {
+	return func(ids []int, codes []uint64) []int {
+		out := ids[:0]
+		for k, c := range codes {
+			if holds(r.DecodeCode(c)) {
+				out = append(out, ids[k])
+			}
 		}
-		if f.MayContain(r.DecodeCode(codes[i])) {
-			out = append(out, i)
-		}
+		return out
 	}
-	return out
 }
 
 // nextBatch materializes the next ≤900 qualifying rows and applies the
 // residual predicate.
 func (c *groupCursor) nextBatch() *vector.Batch {
-	for c.off < len(c.qual) {
-		n := len(c.qual) - c.off
-		if n > vector.DefaultBatchSize {
-			n = vector.DefaultBatchSize
+	for {
+		idxs := c.sel.nextIDs(vector.DefaultBatchSize, c.scratch.batch)
+		n := len(idxs)
+		if n == 0 {
+			return nil
 		}
-		idxs := c.qual[c.off : c.off+n]
-		c.off += n
-
-		b := vector.NewBatch(c.scan.schema, n)
-		b.SetNumRows(n)
+		// Each vector is sized by its gather, so a coded string column never
+		// allocates the per-row strings it does not use.
+		b := &vector.Batch{Schema: c.scan.schema, Vecs: make([]*vector.Vector, len(c.readers))}
 		st := c.scan.Stats
 		for i, r := range c.readers {
 			// Late materialization: dict-encoded segments emit codes sharing
@@ -465,10 +553,12 @@ func (c *groupCursor) nextBatch() *vector.Batch {
 			// edge. Segments whose local dictionary cannot be remapped into
 			// the primary dictionary fall back to eager decoding.
 			if r.CanEmitCodes() {
+				b.Vecs[i] = &vector.Vector{Typ: sqltypes.String}
 				r.GatherCodesInto(b.Vecs[i], idxs)
 				atomic.AddInt64(&st.StringColsCoded, 1)
 				mScanColsCoded.Inc()
 			} else {
+				b.Vecs[i] = vector.NewVector(r.Col.Typ, n)
 				r.GatherInto(b.Vecs[i], idxs)
 				if r.Meta.Enc == colstore.EncDict {
 					atomic.AddInt64(&st.StringColsMaterialized, 1)
@@ -476,6 +566,7 @@ func (c *groupCursor) nextBatch() *vector.Batch {
 				}
 			}
 		}
+		b.SetRowCountNoReset(n)
 		if c.scan.Residual != nil {
 			expr.ApplyFilter(c.scan.Residual, b)
 		}
@@ -487,7 +578,6 @@ func (c *groupCursor) nextBatch() *vector.Batch {
 		mScanRowsOutput.Add(int64(b.Len()))
 		return b
 	}
-	return nil
 }
 
 // --- Delta-store rows (row-mode side of the mixed scan) ---
@@ -591,6 +681,8 @@ func (s *Scan) startParallel(ctx context.Context) {
 					s.fail(e)
 				}
 			}()
+			sc := scratchPool.Get().(*scanScratch)
+			defer scratchPool.Put(sc)
 			for {
 				if wctx.Err() != nil {
 					return
@@ -601,7 +693,7 @@ func (s *Scan) startParallel(ctx context.Context) {
 				}
 				g := groups[gi]
 				gid = g.ID
-				cur, err := s.openGroup(g)
+				cur, err := s.openGroup(g, sc)
 				if err != nil {
 					s.fail(qerr.WithGroup("scan", g.ID, err))
 					return

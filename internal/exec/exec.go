@@ -68,6 +68,40 @@ func (a AggSpec) String() string {
 	return fmt.Sprintf("%s(%s%s)", a.Kind, d, a.Arg)
 }
 
+// FloatSum is a compensated (Neumaier) float64 sum: S is the running sum
+// and C the rounding error lost from it so far. The total S+C is accurate to
+// about one ulp whatever order the terms arrive in, so aggregates whose
+// partial sums are merged across workers agree with the serial result
+// instead of drifting with the batch-to-worker assignment.
+type FloatSum struct{ S, C float64 }
+
+// Add folds x into the sum.
+func (f *FloatSum) Add(x float64) {
+	t := f.S + x
+	if math.Abs(f.S) >= math.Abs(x) {
+		f.C += (f.S - t) + x
+	} else {
+		f.C += (x - t) + f.S
+	}
+	f.S = t
+}
+
+// Merge folds another partial sum into f.
+func (f *FloatSum) Merge(o FloatSum) {
+	f.Add(o.S)
+	f.C += o.C
+}
+
+// Value returns the compensated total. Once the running sum overflows to
+// infinity (or turns NaN) the compensation is meaningless and S alone is the
+// answer.
+func (f FloatSum) Value() float64 {
+	if v := f.S + f.C; v == v {
+		return v
+	}
+	return f.S
+}
+
 // SortKey orders by an expression, optionally descending.
 type SortKey struct {
 	E    expr.Expr

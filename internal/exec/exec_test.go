@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -101,6 +103,59 @@ func TestAggSpecResultType(t *testing.T) {
 	for _, c := range cases {
 		if got := c.spec.ResultType(); got != c.want {
 			t.Errorf("%v: ResultType = %v, want %v", c.spec, got, c.want)
+		}
+	}
+}
+
+// A compensated sum recovers what plain summation loses, agrees with itself
+// across orders and merge splits, and keeps IEEE overflow and NaN results.
+func TestFloatSum(t *testing.T) {
+	var f FloatSum
+	for _, x := range []float64{1e16, 1, -1e16} {
+		f.Add(x)
+	}
+	if got := f.Value(); got != 1 {
+		t.Fatalf("1e16 + 1 - 1e16 = %v, want 1", got)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]float64, 5000)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(10000)) / 100 * math.Pow(10, float64(rng.Intn(7)-3))
+	}
+	var serial FloatSum
+	for _, x := range xs {
+		serial.Add(x)
+	}
+	for trial := 0; trial < 20; trial++ {
+		perm := rng.Perm(len(xs))
+		parts := make([]FloatSum, 1+trial%4)
+		for k, i := range perm {
+			parts[k%len(parts)].Add(xs[i])
+		}
+		var merged FloatSum
+		for _, p := range parts {
+			merged.Merge(p)
+		}
+		if a, b := merged.Value(), serial.Value(); math.Abs(a-b) > 2*math.Abs(b)*0x1p-52 {
+			t.Fatalf("trial %d: merged %v vs serial %v", trial, a, b)
+		}
+	}
+
+	for _, c := range []struct {
+		xs   []float64
+		want float64
+	}{
+		{[]float64{math.MaxFloat64, math.MaxFloat64, 1}, math.Inf(1)},
+		{[]float64{1, math.Inf(-1), 2}, math.Inf(-1)},
+		{[]float64{math.Inf(1), math.Inf(-1)}, math.NaN()},
+	} {
+		var f FloatSum
+		for _, x := range c.xs {
+			f.Add(x)
+		}
+		if got := f.Value(); got != c.want && !(math.IsNaN(got) && math.IsNaN(c.want)) {
+			t.Errorf("sum %v = %v, want %v", c.xs, got, c.want)
 		}
 	}
 }

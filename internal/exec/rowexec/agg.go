@@ -10,7 +10,7 @@ import (
 type aggState struct {
 	count    int64 // non-NULL inputs (or all rows for COUNT(*))
 	sumI     int64
-	sumF     float64
+	sumF     exec.FloatSum
 	min, max sqltypes.Value
 	seen     bool
 	distinct map[string]bool
@@ -45,7 +45,7 @@ func (st *aggState) add(spec exec.AggSpec, row sqltypes.Row) {
 	switch spec.Kind {
 	case exec.Sum, exec.Avg:
 		st.sumI += v.I
-		st.sumF += v.AsFloat()
+		st.sumF.Add(v.AsFloat())
 	case exec.Min:
 		if !st.seen || sqltypes.Compare(v, st.min) < 0 {
 			st.min = v
@@ -68,14 +68,14 @@ func (st *aggState) result(spec exec.AggSpec) sqltypes.Value {
 			return sqltypes.NewNull(spec.ResultType())
 		}
 		if spec.ResultType() == sqltypes.Float64 {
-			return sqltypes.NewFloat(st.sumF)
+			return sqltypes.NewFloat(st.sumF.Value())
 		}
 		return sqltypes.NewInt(st.sumI)
 	case exec.Avg:
 		if st.count == 0 {
 			return sqltypes.NewNull(sqltypes.Float64)
 		}
-		return sqltypes.NewFloat(st.sumF / float64(st.count))
+		return sqltypes.NewFloat(st.sumF.Value() / float64(st.count))
 	case exec.Min:
 		if !st.seen {
 			return sqltypes.NewNull(spec.ResultType())
