@@ -30,13 +30,15 @@ race:
 	$(GO) test -race . ./internal/exec/batchexec ./internal/table ./internal/storage ./internal/delta ./internal/sql ./internal/plan ./internal/expr ./internal/colstore ./internal/txn ./internal/wal ./internal/server ./internal/server/broker ./internal/server/tenant ./internal/load ./internal/degrade ./internal/scrub
 
 # Short seeded-corpus fuzz run over the encoding round-trip/robustness targets
-# (bitpack, RLE, dictionary), the WAL record codec, and the bulk-load input
+# (bitpack, RLE, dictionary), the join bitmap filter's exact layout and its
+# code-space test, the WAL record codec, and the bulk-load input
 # decoders (CSV, length-prefixed binary). Seconds per target: enough to catch
 # regressions in the untrusted-input bounds checks without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/encoding -run='^$$' -fuzz=FuzzBitpackRoundtrip -fuzztime=5s
 	$(GO) test ./internal/encoding -run='^$$' -fuzz=FuzzRLERoundtrip -fuzztime=5s
 	$(GO) test ./internal/encoding -run='^$$' -fuzz=FuzzDictRoundtrip -fuzztime=5s
+	$(GO) test ./internal/bloom -run='^$$' -fuzz=FuzzBitmapFilter -fuzztime=5s
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s
 	$(GO) test ./internal/load -run='^$$' -fuzz=FuzzCSVLoad -fuzztime=5s
 	$(GO) test ./internal/load -run='^$$' -fuzz=FuzzBinaryLoad -fuzztime=5s

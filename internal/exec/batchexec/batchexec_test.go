@@ -532,9 +532,15 @@ func TestBloomPushdownThroughJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.BloomOut = target
+	exact, bloom := mBitmapFiltersExact.Value(), mBitmapFiltersBloom.Value()
 	rowsOut, err := Drain(j)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A string key publishes a Bloom filter, counted once.
+	if d := mBitmapFiltersBloom.Value() - bloom; d != 1 || mBitmapFiltersExact.Value() != exact {
+		t.Fatalf("string-key join published %d Bloom and %d exact filters, want 1 and 0",
+			d, mBitmapFiltersExact.Value()-exact)
 	}
 	want := reference(rows, func(r sqltypes.Row) bool { return r[3].S == "north" }, []int{0})
 	if len(rowsOut) != sumCounts(want) {

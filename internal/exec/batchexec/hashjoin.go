@@ -241,16 +241,30 @@ func (h *HashJoin) drainBuild(ctx context.Context) (*buildSide, bool, error) {
 	}
 }
 
+// publishBloom hands the probe-side scan a filter over the build key: an
+// exact range bitmap when integer-family keys are dense enough, a Bloom
+// filter otherwise (bloom.NewInts makes that choice).
 func (h *HashJoin) publishBloom(build *buildSide) {
 	if h.BloomOut == nil || len(h.BuildKeys) != 1 {
 		return
 	}
-	f := bloom.New(build.len, bloom.DefaultBitsPerKey)
 	kv := build.cols[h.BuildKeys[0]]
-	for i := 0; i < build.len; i++ {
-		if !kv.IsNull(i) {
-			f.Add(kv.Value(i))
+	var f *bloom.Filter
+	switch kv.Typ {
+	case sqltypes.Int64, sqltypes.Date, sqltypes.Bool:
+		f = bloom.NewInts(kv.I64[:build.len], kv.Nulls)
+	default:
+		f = bloom.New(build.len, bloom.DefaultBitsPerKey)
+		for i := 0; i < build.len; i++ {
+			if !kv.IsNull(i) {
+				f.Add(kv.Value(i))
+			}
 		}
+	}
+	if _, exact := f.Exact(); exact {
+		mBitmapFiltersExact.Inc()
+	} else {
+		mBitmapFiltersBloom.Inc()
 	}
 	h.BloomOut.F = f
 }
@@ -534,6 +548,13 @@ func (c *joinCore) probeBatch(b *vector.Batch) []*vector.Batch {
 	// Inner/outer joins: collect matching (probe, build) pairs, then gather
 	// them into output batches column by column.
 	var probeIdx, buildIdx []int32 // buildIdx -1 = null-extended
+	if t := h.BloomOut; t != nil && t.F != nil {
+		if _, exact := t.F.Exact(); exact {
+			// The exact filter let through only rows whose key is a build
+			// key: every probe row makes at least one pair.
+			probeIdx, buildIdx = make([]int32, 0, n), make([]int32, 0, n)
+		}
+	}
 	leftOuter := h.Type == exec.LeftOuter || h.Type == exec.FullOuter
 	pkv := b.Vecs[h.ProbeKeys[0]]
 	switch {

@@ -41,6 +41,11 @@ var (
 	mJoinBatchesGeneric = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="generic"}`,
 		"probe batches joined, by probe path")
 
+	mBitmapFiltersExact = metrics.Default.Counter(`apollo_hashjoin_bitmap_filters_total{kind="exact"}`,
+		"bitmap filters published by hash-join builds, by layout")
+	mBitmapFiltersBloom = metrics.Default.Counter(`apollo_hashjoin_bitmap_filters_total{kind="bloom"}`,
+		"bitmap filters published by hash-join builds, by layout")
+
 	mSpills = metrics.Default.Counter("apollo_exec_spills_total",
 		"hash-operator spill events (memory grant exhausted)")
 

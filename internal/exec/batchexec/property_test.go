@@ -7,6 +7,7 @@ import (
 
 	"apollo/internal/bloom"
 	"apollo/internal/colstore"
+	"apollo/internal/encoding"
 	"apollo/internal/exec"
 	"apollo/internal/exec/rowexec"
 	"apollo/internal/expr"
@@ -411,7 +412,8 @@ func TestQuickStringSpillParity(t *testing.T) {
 // selection: k runs in long runs with whole runs NULL (RLE with NULLs), v is
 // random and NULL every 11th row (bit-packed with NULLs), cat draws from more
 // values than the primary dictionary admits and is NULL every 13th row
-// (local dictionaries with NULLs), and f is a nullable scaled float.
+// (local dictionaries with NULLs), f is a nullable scaled float, and tens
+// holds multiples of ten, NULL every 19th row (a scaled integer encoding).
 func selSchema() *sqltypes.Schema {
 	return sqltypes.NewSchema(
 		sqltypes.Column{Name: "id", Typ: sqltypes.Int64},
@@ -419,6 +421,7 @@ func selSchema() *sqltypes.Schema {
 		sqltypes.Column{Name: "v", Typ: sqltypes.Int64, Nullable: true},
 		sqltypes.Column{Name: "cat", Typ: sqltypes.String, Nullable: true},
 		sqltypes.Column{Name: "f", Typ: sqltypes.Float64, Nullable: true},
+		sqltypes.Column{Name: "tens", Typ: sqltypes.Int64, Nullable: true},
 	)
 }
 
@@ -448,7 +451,11 @@ func loadSelTable(t *testing.T) *table.Table {
 		if i%17 == 0 {
 			f = sqltypes.NewNull(sqltypes.Float64)
 		}
-		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), k, v, cat, f})
+		tens := sqltypes.NewInt(10 * int64(i*37%300))
+		if i%19 == 0 {
+			tens = sqltypes.NewNull(sqltypes.Int64)
+		}
+		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), k, v, cat, f, tens})
 	}
 	cs := table.DefaultOptions().Columnstore
 	cs.Reorder = false // keep id order, so runs and group membership are as generated
@@ -556,23 +563,26 @@ func referenceCounts(t *testing.T, s *Scan) (afterRange, afterBloom int64) {
 
 // Property: over groups that are mostly deleted, groups whose first filter
 // leaves nothing, groups with no filter at all, and RLE and bit-packed
-// segments with NULLs and local dictionaries, the batch scan returns the row
-// engine's rows (with the Bloom filter applied to them identically), at
-// DOP 1 and 2, and counts the rows after pushdown and after Bloom exactly as
-// a full decode of every segment does.
+// segments with NULLs and local dictionaries, and Bloom or exact bitmap
+// filters on each numeric segment shape, the batch scan returns the row
+// engine's rows (with the filter applied to them identically), at DOP 1 and
+// 2, and counts the rows after pushdown and after the filter exactly as a
+// full decode of every segment does.
 func TestQuickSelectionShapes(t *testing.T) {
 	tb := loadSelTable(t)
 	snap := tb.Snapshot()
-	var rle, packed, local bool
+	var rle, packed, local, scaled bool
 	for _, g := range snap.Groups {
 		for _, m := range g.Segs {
 			rle = rle || (m.Comp == colstore.CompRLE && m.NullCount > 0)
 			packed = packed || (m.Comp == colstore.CompBitPack && m.NullCount > 0)
 			local = local || (m.LocalDict != 0 && m.NullCount > 0)
+			scaled = scaled || (m.Enc == colstore.EncNumeric && m.Numeric.Kind == encoding.NumScaled && m.NullCount > 0)
 		}
 	}
-	if !rle || !packed || !local {
-		t.Fatalf("fixture lost a segment shape: RLE+NULL %v, bit-packed+NULL %v, local dictionary+NULL %v", rle, packed, local)
+	if !rle || !packed || !local || !scaled {
+		t.Fatalf("fixture lost a segment shape: RLE+NULL %v, bit-packed+NULL %v, local dictionary+NULL %v, scaled+NULL %v",
+			rle, packed, local, scaled)
 	}
 
 	i64 := func(n int64) sqltypes.Value { return sqltypes.NewInt(n) }
@@ -588,6 +598,20 @@ func TestQuickSelectionShapes(t *testing.T) {
 	var someV []sqltypes.Value
 	for n := int64(0); n < 2000; n += 14 {
 		someV = append(someV, i64(n))
+	}
+	exactOf := func(keys ...int64) *bloom.Filter {
+		f := bloom.NewInts(keys, nil)
+		if _, ok := f.Exact(); !ok {
+			t.Fatalf("keys %v did not build an exact filter", keys)
+		}
+		return f
+	}
+	steps := func(lo, hi, step int64) []int64 {
+		var keys []int64
+		for n := lo; n <= hi; n += step {
+			keys = append(keys, n)
+		}
+		return keys
 	}
 	cases := []struct {
 		name      string
@@ -615,8 +639,52 @@ func TestQuickSelectionShapes(t *testing.T) {
 			bloomCol: 3, bloom: bloomOf(str("c7"), str("c77"), str("c177"), str("c5"))},
 		{name: "pushdown selecting only deleted rows of group 0",
 			pushdowns: []Pushdown{{Col: 0, Lo: i64(1), Hi: i64(4)}}},
+		{name: "exact filter on bit-packed ids: groups below, across and above the key range",
+			bloomCol: 0, bloom: exactOf(steps(700, 1200, 3)...)},
+		{name: "exact filter on bit-packed v with NULLs, segment base below the key range",
+			bloomCol: 2, bloom: exactOf(steps(500, 1500, 6)...)},
+		{name: "exact filter on bit-packed v with NULLs, segment base above the key range",
+			bloomCol: 2, bloom: exactOf(-100, -2, 0, 4, 10, 98, 300)},
+		{name: "exact filter on RLE k with NULLs, segment base below the key range",
+			bloomCol: 1, bloom: exactOf(3, 5, 9, 16)},
+		{name: "exact filter on RLE k with NULLs, segment base above the key range",
+			pushdowns: []Pushdown{{Col: 2, Lo: i64(100), Hi: i64(1900)}},
+			bloomCol:  1, bloom: exactOf(-4, -1, 0, 2)},
+		{name: "exact filter on a scaled column with NULLs",
+			bloomCol: 5, bloom: exactOf(steps(100, 2000, 30)...)},
+		{name: "exact filter whose key range misses every group",
+			bloomCol: 2, bloom: exactOf(5000, 5002, 5100)},
+		{name: "exact filter on a float column",
+			bloomCol: 4, bloom: exactOf(steps(0, 99, 1)...)},
 	}
-	all := []int{0, 1, 2, 3, 4}
+	all := []int{0, 1, 2, 3, 4, 5}
+
+	// The exact cases must put NumOffset segments of both compressions on
+	// both sides of a filter's lo.
+	type side struct {
+		comp  colstore.CompKind
+		below bool
+	}
+	bases := map[side]bool{}
+	for _, c := range cases {
+		if c.bloom == nil {
+			continue
+		}
+		bm, ok := c.bloom.Exact()
+		if !ok {
+			continue
+		}
+		for _, g := range snap.Groups {
+			if m := g.Segs[c.bloomCol]; m.Enc == colstore.EncNumeric && m.Numeric.Kind == encoding.NumOffset && !m.Min.Null {
+				bases[side{m.Comp, m.Numeric.Base < bm.Lo}] = true
+			}
+		}
+	}
+	for _, s := range []side{{colstore.CompBitPack, true}, {colstore.CompBitPack, false}, {colstore.CompRLE, true}, {colstore.CompRLE, false}} {
+		if !bases[s] {
+			t.Fatalf("no exact case has a %v segment with base below lo = %v", s.comp, s.below)
+		}
+	}
 	for _, c := range cases {
 		// Row engine: the pushdowns and dictionary predicates as a filter
 		// over the table row; the Bloom filter applied to its output.

@@ -413,7 +413,11 @@ func (s *Scan) openGroup(g *colstore.RowGroup, sc *scanScratch) (*groupCursor, e
 		if err != nil {
 			return nil, err
 		}
-		sel.narrow(r, bloomFilter(r, bp.Target.F), sc)
+		if keep := bloomFilter(r, bp.Target.F); keep != nil {
+			sel.narrow(r, keep, sc)
+		} else {
+			sel.clear()
+		}
 	}
 	atomic.AddInt64(&st.RowsAfterBloom, int64(sel.n))
 
@@ -476,26 +480,48 @@ func dictPredFilter(r *colstore.ColumnReader, pred expr.Expr) keepFunc {
 }
 
 // bloomFilter returns the chunk filter testing rows against a join bitmap
-// filter. Dictionary columns test each distinct dictionary entry once;
-// integer-family columns decode and hash in a tight loop; other columns hash
-// decoded values.
+// filter. Dictionary columns test each distinct dictionary entry once.
+// Integer-family columns against an exact filter test offset-encoded codes
+// directly — one add, compare and bit test per row — and it returns nil when
+// the segment's min/max misses the key range. Other integer-family segments
+// decode and test in a tight loop (hashing for a Bloom filter); float
+// columns test decoded values.
 func bloomFilter(r *colstore.ColumnReader, f *bloom.Filter) keepFunc {
 	if r.Meta.Enc == colstore.EncDict {
 		return keepCodeSet(r.CodeSetMatching(f.MayContain))
 	}
-	if r.Col.Typ != sqltypes.Float64 && r.Meta.Numeric.Kind != encoding.NumFloatRaw {
-		num := r.Meta.Numeric
-		return func(ids []int, codes []uint64) []int {
-			out := ids[:0]
-			for k, c := range codes {
-				if f.MayContainInt(num.DecodeInt(c)) {
-					out = append(out, ids[k])
+	if r.Col.Typ == sqltypes.Float64 || r.Meta.Numeric.Kind == encoding.NumFloatRaw {
+		return keepDecoded(r, f.MayContain)
+	}
+	num := r.Meta.Numeric
+	if bm, exact := f.Exact(); exact {
+		if r.Meta.Min.Null || !bm.Overlaps(r.Meta.Min.I, r.Meta.Max.I) {
+			return nil
+		}
+		if num.Kind == encoding.NumOffset {
+			// Code c holds Base+c, whose bit is c+off; values below the
+			// key range wrap past Span.
+			off := bm.Pos(num.Base)
+			return func(ids []int, codes []uint64) []int {
+				out := ids[:0]
+				for k, c := range codes {
+					if bm.Has(c + off) {
+						out = append(out, ids[k])
+					}
 				}
+				return out
 			}
-			return out
 		}
 	}
-	return keepDecoded(r, f.MayContain)
+	return func(ids []int, codes []uint64) []int {
+		out := ids[:0]
+		for k, c := range codes {
+			if f.MayContainInt(num.DecodeInt(c)) {
+				out = append(out, ids[k])
+			}
+		}
+		return out
+	}
 }
 
 func inRange(v, lo, hi sqltypes.Value) bool {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"apollo/internal/catalog"
+	"apollo/internal/metrics"
 	"apollo/internal/plan"
 	"apollo/internal/sql"
 	"apollo/internal/storage"
@@ -78,6 +79,26 @@ func TestSSBQueriesRunAndModesAgree(t *testing.T) {
 			if a != b && orderedQuery(q.SQL) {
 				t.Fatalf("%s: row %d: %s vs %s", q.Name, i, a, b)
 			}
+		}
+	}
+}
+
+// Every SSB dimension key is a dense integer range, so every bitmap filter
+// the flight suite's hash joins publish is an exact range bitmap.
+func TestSSBPublishesOnlyExactFilters(t *testing.T) {
+	e := newSSBEngine(t, plan.Mode2014, 0.1)
+	const exact, bloom = `apollo_hashjoin_bitmap_filters_total{kind="exact"}`, `apollo_hashjoin_bitmap_filters_total{kind="bloom"}`
+	for _, q := range SSBQueries() {
+		before := metrics.Default.Snapshot()
+		if _, err := e.Exec(q.SQL); err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		after := metrics.Default.Snapshot()
+		if n := after[bloom] - before[bloom]; n != 0 {
+			t.Fatalf("%s published %v Bloom filters", q.Name, n)
+		}
+		if after[exact] == before[exact] {
+			t.Fatalf("%s published no exact filter", q.Name)
 		}
 	}
 }
