@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench-check bench bench-smoke bench-parallel bench-wal bench-mvcc bench-load bench-load-smoke bench-optimizer bench-scrub clean
+.PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench-check clean
 
 all: check
 
@@ -69,11 +69,13 @@ scrub-smoke:
 # matrices. The degrade matrix kills the ENOSPC degrade→recover cycle at
 # randomized offsets (zero acked loss, no false acks across the round trip)
 # and proves fsync-failure fail-stop stays stopped until restart.
+CRASH_TESTS = TestCrashRecoveryMatrix|TestCrashMidCheckpoint|TestRecoveryRefusesMidLogCorruption|TestMultiWriterCrashMatrix|TestBulkLoadCrashMatrix|TestENOSPCRecoveryMatrix|TestFsyncPoisonFailStop
+
 crash:
-	$(GO) test -run='TestCrashRecoveryMatrix|TestCrashMidCheckpoint|TestRecoveryRefusesMidLogCorruption|TestMultiWriterCrashMatrix|TestBulkLoadCrashMatrix|TestENOSPCRecoveryMatrix|TestFsyncPoisonFailStop' -count=1 .
+	$(GO) test -run='$(CRASH_TESTS)' -count=1 .
 
 crash-full:
-	APOLLO_CRASH_FULL=1 $(GO) test -run='TestCrashRecoveryMatrix|TestCrashMidCheckpoint|TestRecoveryRefusesMidLogCorruption|TestMultiWriterCrashMatrix|TestBulkLoadCrashMatrix|TestENOSPCRecoveryMatrix|TestFsyncPoisonFailStop' -count=1 -v .
+	APOLLO_CRASH_FULL=1 $(GO) test -run='$(CRASH_TESTS)' -count=1 -v .
 
 # Per-package statement coverage. internal/metrics (the observability core)
 # and internal/stats (the estimators feeding cost-based plan choices) have a
@@ -103,57 +105,11 @@ cover:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Full CI gate: build, vet, durability lint, tests (incl. golden plans +
-# metrics invariants), benchmark build and unit tests, race detector, fuzz
-# smoke, serving smoke, integrity scrub smoke, crash matrix (incl.
-# degrade/poison), bulk-load parity sweep, coverage floor.
-check: build vet lint test bench-check race fuzz-smoke serve-smoke scrub-smoke crash bench-load-smoke cover
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ .
-
-# Quick late-materialization check: dict-coded vs eagerly decoded string
-# execution (see BENCH_dictexec.json for recorded numbers).
-bench-smoke:
-	$(GO) test -bench='BenchmarkGroupByString|BenchmarkJoinOnString' -benchtime=1x -run=^$$ ./internal/exec/batchexec
-
-# Exchange-layer DOP sweep: serial vs parallel aggregation and join (see
-# BENCH_parallel.json for recorded numbers and host caveats).
-bench-parallel:
-	$(GO) test -bench='BenchmarkParallelAgg|BenchmarkParallelJoin' -benchtime=1x -run=^$$ ./internal/exec/batchexec
-
-# WAL append throughput across fsync policies (see BENCH_wal.json for
-# recorded numbers).
-bench-wal:
-	$(GO) test -bench='BenchmarkAppend' -run=^$$ ./internal/wal
-
-# Mixed transactional workload vs session count, with fsyncs-per-commit from
-# the group-commit path (see BENCH_mvcc.json for recorded numbers).
-bench-mvcc:
-	$(GO) test -bench='BenchmarkMVCCSessions' -benchtime=1x -run=^$$ .
-
-# Bulk-load ingest sweep: COPY a 120k-row CSV straight into compressed row
-# groups, then the same pipeline at fixed batch sizes plus one adaptive run,
-# recorded to BENCH_bulkload.json. Every leg is parity-gated.
-bench-load:
-	APOLLO_BENCH_BULKLOAD=BENCH_bulkload.json $(GO) test -run='^TestBulkLoadSweep$$' -count=1 -v .
-
-# CI smoke: the same sweep and parity gates without recording.
-bench-load-smoke:
-	$(GO) test -run='^TestBulkLoadSweep$$' -count=1 .
-
-# Scrub throughput: unpaced CRC-verify rate over ~200k rows of at-rest blobs
-# vs two paced budgets, with concurrent-query latency per leg (see
-# BENCH_scrub.json for recorded numbers).
-bench-scrub:
-	APOLLO_BENCH_SCRUB=$(CURDIR)/BENCH_scrub.json $(GO) test -run='^TestScrubSweep$$' -count=1 -v .
-
-# Optimizer quality: the 5-table star-join benchmark (cost-based vs
-# heuristic plan, parity-checked, wall-time gated at +20%) and the
-# cardinality q-error table, recorded to BENCH_optimizer.json.
-bench-optimizer:
-	APOLLO_BENCH_OPTIMIZER=$(CURDIR)/BENCH_optimizer.json APOLLO_BENCH_OPTIMIZER_GATE=1 \
-		$(GO) test -run='^(TestOptimizerStarBench|TestCardinalityQError)$$' -count=1 -v ./internal/sql
+# Full CI gate: build, vet, durability lint, tests (incl. golden plans,
+# metrics invariants and the bulk-load parity sweep), benchmark build and
+# unit tests, race detector, fuzz smoke, serving smoke, integrity scrub
+# smoke, crash matrix (incl. degrade/poison), coverage floor.
+check: build vet lint test bench-check race fuzz-smoke serve-smoke scrub-smoke crash cover
 
 clean:
 	$(GO) clean -testcache

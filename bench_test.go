@@ -1,37 +1,17 @@
 package apollo
 
-// Benchmarks regenerating the paper's tables and figures (one per experiment
-// in DESIGN.md's index), plus micro-benchmarks of the engine's hot paths.
-// The experiment benches wrap the same harness cmd/csbench uses, writing
-// their tables to io.Discard; run `go run ./cmd/csbench all` for the
-// human-readable output, and `go test -bench=.` for timings.
+// Benchmarks regenerating the paper's experiments that bench/ does not yet
+// reproduce (one per experiment in DESIGN.md's index). They wrap the same
+// harness cmd/csbench uses, writing their tables to io.Discard; run `go run
+// ./cmd/csbench all` for the human-readable output, and `go test -bench=.`
+// for timings. E1, E2, E6 and E7 are measured by `bash bench/run.sh`.
 
 import (
-	"fmt"
 	"io"
 	"testing"
 
 	"apollo/internal/experiments"
-	"apollo/internal/workload"
 )
-
-// --- Experiment benches (E1–E12) ---
-
-func BenchmarkTable1Compression(b *testing.B) { // E1
-	for i := 0; i < b.N; i++ {
-		if err := experiments.E1Table1Compression(io.Discard, 50000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSpeedupSSB(b *testing.B) { // E2
-	for i := 0; i < b.N; i++ {
-		if err := experiments.E2SpeedupSSB(io.Discard, 0.2, 4, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkOperatorRepertoire(b *testing.B) { // E3
 	for i := 0; i < b.N; i++ {
@@ -52,22 +32,6 @@ func BenchmarkSegmentElimination(b *testing.B) { // E4
 func BenchmarkBitmapPushdown(b *testing.B) { // E5
 	for i := 0; i < b.N; i++ {
 		if err := experiments.E5BitmapPushdown(io.Discard, 0.2, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrickleInsert(b *testing.B) { // E6
-	for i := 0; i < b.N; i++ {
-		if err := experiments.E6TrickleInsert(io.Discard, 20000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBulkLoad(b *testing.B) { // E7
-	for i := 0; i < b.N; i++ {
-		if err := experiments.E7BulkLoadThreshold(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,134 +74,5 @@ func BenchmarkSampling(b *testing.B) { // E12
 		if err := experiments.E12Sampling(io.Discard, 60000); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Micro benchmarks: the engine's hot paths ---
-
-// ssbDB loads an SSB warehouse once per benchmark.
-func ssbDB(b *testing.B, mode ExecutionMode, parallel int) *DB {
-	b.Helper()
-	cfg := DefaultConfig()
-	cfg.Mode = mode
-	cfg.Parallel = parallel
-	cfg.TupleMoverInterval = 0
-	// Scale storage thresholds down with the dataset so bulk loads compress
-	// directly (the defaults are the paper's production values).
-	cfg.RowGroupSize = 1 << 16
-	cfg.BulkLoadThreshold = 4096
-	db := Open(cfg)
-	b.Cleanup(db.Close)
-	data := workload.GenSSB(0.5, 42)
-	for _, l := range []struct {
-		name   string
-		schema *Schema
-		rows   []Row
-	}{
-		{"lineorder", workload.LineorderSchema, data.Lineorder},
-		{"dwdate", workload.DateSchema, data.Date},
-		{"customer", workload.CustomerSchema, data.Customer},
-		{"supplier", workload.SupplierSchema, data.Supplier},
-		{"part", workload.PartSchema, data.Part},
-	} {
-		t, err := db.CreateTable(l.name, l.schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := t.BulkLoad(l.rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return db
-}
-
-func benchQuery(b *testing.B, db *DB, q string) {
-	b.Helper()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScanRowMode(b *testing.B) {
-	db := ssbDB(b, ModeRow, 0)
-	benchQuery(b, db, "SELECT SUM(lo_revenue) FROM lineorder")
-}
-
-func BenchmarkScanBatchMode(b *testing.B) {
-	db := ssbDB(b, Mode2014, 0)
-	benchQuery(b, db, "SELECT SUM(lo_revenue) FROM lineorder")
-}
-
-func BenchmarkScanBatchParallel(b *testing.B) {
-	db := ssbDB(b, Mode2014, 4)
-	benchQuery(b, db, "SELECT SUM(lo_revenue) FROM lineorder")
-}
-
-func BenchmarkFilterPushdown(b *testing.B) {
-	db := ssbDB(b, Mode2014, 0)
-	benchQuery(b, db, "SELECT COUNT(*) FROM lineorder WHERE lo_quantity < 5 AND lo_discount = 3")
-}
-
-func BenchmarkStarJoinBatch(b *testing.B) {
-	db := ssbDB(b, Mode2014, 0)
-	benchQuery(b, db, `SELECT SUM(lo_revenue) FROM lineorder, supplier
-		WHERE lo_suppkey = s_suppkey AND s_region = 'ASIA'`)
-}
-
-func BenchmarkStarJoinRow(b *testing.B) {
-	db := ssbDB(b, ModeRow, 0)
-	benchQuery(b, db, `SELECT SUM(lo_revenue) FROM lineorder, supplier
-		WHERE lo_suppkey = s_suppkey AND s_region = 'ASIA'`)
-}
-
-func BenchmarkGroupByBatch(b *testing.B) {
-	db := ssbDB(b, Mode2014, 0)
-	benchQuery(b, db, "SELECT lo_custkey, SUM(lo_revenue) FROM lineorder GROUP BY lo_custkey")
-}
-
-func BenchmarkTopN(b *testing.B) {
-	db := ssbDB(b, Mode2014, 0)
-	benchQuery(b, db, "SELECT lo_orderkey, lo_revenue FROM lineorder ORDER BY lo_revenue DESC LIMIT 10")
-}
-
-func BenchmarkTrickleInsertPath(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.TupleMoverInterval = 0
-	db := Open(cfg)
-	defer db.Close()
-	db.MustExec("CREATE TABLE t (a BIGINT NOT NULL, s VARCHAR NOT NULL)")
-	tbl, _ := db.Table("t")
-	row := Row{NewInt(1), NewString("x")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tbl.Insert(row); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBulkLoadPath(b *testing.B) {
-	data := workload.GenSSB(0.2, 7).Lineorder
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := DefaultConfig()
-		cfg.TupleMoverInterval = 0
-		db := Open(cfg)
-		tbl, err := db.CreateTable(fmt.Sprintf("t%d", i), workload.LineorderSchema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := tbl.BulkLoad(data); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		db.Close()
-		b.StartTimer()
 	}
 }

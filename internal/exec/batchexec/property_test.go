@@ -312,13 +312,16 @@ func TestQuickStringJoinParity(t *testing.T) {
 	btb := loadStrTable(t, makeStrRows(400, 311, buildCats))
 
 	for _, jt := range []exec.JoinType{exec.Inner, exec.LeftOuter, exec.RightOuter, exec.FullOuter, exec.LeftSemi, exec.LeftAnti} {
-		bj, err := NewHashJoin(
-			NewScan(ptb.Snapshot(), []int{0, 1}), NewScan(btb.Snapshot(), []int{1, 2}),
-			[]int{1}, []int{0}, jt, nil)
+		pScan := NewScan(ptb.Snapshot(), []int{0, 1})
+		pScan.Stats = &ScanStats{}
+		bj, err := NewHashJoin(pScan, NewScan(btb.Snapshot(), []int{1, 2}), []int{1}, []int{0}, jt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch := gotRows(t, bj)
+		if pScan.Stats.StringColsCoded == 0 {
+			t.Fatalf("%v string join: probe scan emitted no coded string vectors — late materialization inactive", jt)
+		}
 
 		rj, err := rowexec.NewHashJoin(
 			rowexec.NewScan(ptb.Snapshot(), nil, []int{0, 1}), rowexec.NewScan(btb.Snapshot(), nil, []int{1, 2}),

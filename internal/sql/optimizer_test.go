@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"apollo/internal/catalog"
 	"apollo/internal/plan"
@@ -24,10 +22,7 @@ import (
 // join enumeration, Bloom cost gating, per-pipeline DOP) is pinned three
 // ways — plan-stability goldens over star/chain shapes, a cardinality
 // q-error harness comparing estimated to actual rows, and a property test
-// asserting optimized and heuristic plans return identical multisets. With
-// APOLLO_BENCH_OPTIMIZER=<path> the q-error table and the 5-table star
-// benchmark are recorded as JSON (`make bench-optimizer` writes
-// BENCH_optimizer.json and gates wall-time regressions).
+// asserting optimized and heuristic plans return identical multisets.
 
 // --- Star-schema fixture ---
 
@@ -162,8 +157,8 @@ var starGoldenCases = []struct {
 	{"star3_topn", "SELECT f.fid, c.cname FROM fact f JOIN dim_cust c ON f.cust = c.cid JOIN dim_promo pr ON f.promo = pr.prid WHERE pr.kind = 'k1' ORDER BY f.fid LIMIT 10"},
 }
 
-// The 5-table star join used by both the plan goldens and the wall-time
-// benchmark: filters on two dimensions make join order matter.
+// The 5-table star join used by both the plan goldens and the cost-based vs
+// heuristic comparison: filters on two dimensions make join order matter.
 const starBenchQuery = "SELECT COUNT(*), SUM(f.qty) FROM fact f " +
 	"JOIN dim_cust c ON f.cust = c.cid " +
 	"JOIN dim_prod p ON f.prod = p.pid " +
@@ -264,15 +259,6 @@ func qerrEngine(t *testing.T) *Engine {
 
 func TestCardinalityQError(t *testing.T) {
 	e := qerrEngine(t)
-	type rec struct {
-		Name   string  `json:"name"`
-		Query  string  `json:"query"`
-		Est    float64 `json:"est_rows"`
-		Actual int     `json:"actual_rows"`
-		QError float64 `json:"q_error"`
-		Bound  float64 `json:"bound"`
-	}
-	var recs []rec
 	for _, tc := range qerrCases {
 		t.Run(tc.name, func(t *testing.T) {
 			res := mustExec(t, e, tc.query)
@@ -288,16 +274,14 @@ func TestCardinalityQError(t *testing.T) {
 			if q < 1 {
 				q = 1 / q
 			}
-			recs = append(recs, rec{tc.name, tc.query, est, actual, q, tc.bound})
 			if q > tc.bound {
 				t.Errorf("q-error %.2f exceeds bound %.2f (est=%.1f actual=%d)", q, tc.bound, est, actual)
 			}
 		})
 	}
-	recordOptimizerBench(t, "qerror", recs)
 }
 
-// --- 5-table star-join benchmark: cost-based vs heuristic plan ---
+// --- 5-table star join: cost-based vs heuristic plan ---
 
 var annotRE = regexp.MustCompile(` \[[^\]]*\]`)
 
@@ -337,67 +321,6 @@ func TestOptimizerStarBench(t *testing.T) {
 	if fmt.Sprint(rowsOpt) != fmt.Sprint(rowsHeur) {
 		t.Fatalf("result mismatch:\noptimized: %v\nheuristic: %v", rowsOpt, rowsHeur)
 	}
-
-	median := func(e *Engine) time.Duration {
-		var runs []time.Duration
-		for i := 0; i < 5; i++ {
-			start := time.Now()
-			mustExec(t, e, starBenchQuery)
-			runs = append(runs, time.Since(start))
-		}
-		sort.Slice(runs, func(a, b int) bool { return runs[a] < runs[b] })
-		return runs[len(runs)/2]
-	}
-	wallOpt, wallHeur := median(opt), median(heur)
-	t.Logf("star bench: optimized=%v heuristic=%v", wallOpt, wallHeur)
-
-	// Regression gate (make bench-optimizer): the cost-based plan must not
-	// be more than 20% slower than the heuristic plan, with absolute slack
-	// so micro-runs on noisy CI hosts cannot flake.
-	if os.Getenv("APOLLO_BENCH_OPTIMIZER_GATE") == "1" {
-		limit := wallHeur + wallHeur/5 + 5*time.Millisecond
-		if wallOpt > limit {
-			t.Errorf("optimized plan too slow: %v vs heuristic %v (limit %v)", wallOpt, wallHeur, limit)
-		}
-	}
-
-	analyzeOpt := normalizeAnalyze(mustExec(t, opt, "EXPLAIN ANALYZE "+starBenchQuery).Message)
-	recordOptimizerBench(t, "star_bench", map[string]any{
-		"query":             starBenchQuery,
-		"fact_rows":         starFactRows,
-		"optimized_plan":    explainOpt,
-		"heuristic_plan":    explainHeur,
-		"optimized_analyze": analyzeOpt,
-		"optimized_wall":    wallOpt.String(),
-		"heuristic_wall":    wallHeur.String(),
-	})
-}
-
-// recordOptimizerBench merges one section into the JSON file named by
-// APOLLO_BENCH_OPTIMIZER (read-modify-write, so the q-error table and the
-// star benchmark can land in the same document in any order).
-func recordOptimizerBench(t *testing.T, key string, val any) {
-	t.Helper()
-	path := os.Getenv("APOLLO_BENCH_OPTIMIZER")
-	if path == "" {
-		return
-	}
-	doc := map[string]any{}
-	if buf, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(buf, &doc)
-	}
-	doc["bench"] = "optimizer"
-	doc["date"] = time.Now().UTC().Format("2006-01-02")
-	doc["note"] = "single-process run on the CI host; plan shapes and q-errors are deterministic, wall times are not"
-	doc[key] = val
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal bench doc: %v", err)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatalf("write %s: %v", path, err)
-	}
-	t.Logf("recorded %q to %s", key, path)
 }
 
 // --- Optimizer parity: optimized and heuristic plans agree on results ---

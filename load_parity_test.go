@@ -382,3 +382,107 @@ func TestLoadSnapshotNeverSeesPartialGroup(t *testing.T) {
 		t.Fatalf("stats: %+v, want %d compressed / 0 delta", stats, g*groups)
 	}
 }
+
+// TestBulkLoadSweep loads one 120k-row CSV five ways — SQL COPY from a
+// file, then db.Load at fixed batch sizes and once with the adaptive
+// controller (BatchRows 0) — into tables whose bulk threshold is far below
+// the input. Every leg must land each row (no dead letters), leave at most a
+// sub-threshold tail in the delta store, and match closed-form COUNT/SUM
+// aggregates, so the fast path cannot drop, duplicate, or mangle rows.
+func TestBulkLoadSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bulk-load sweep moves ~600k rows; skipped in -short")
+	}
+	const (
+		rows         = 120_000
+		rowGroupSize = 16384
+		threshold    = 4096
+	)
+	cfg := DefaultConfig()
+	cfg.TupleMoverInterval = 0
+	cfg.FsyncPolicy = "off" // exercise the pipeline, not the disk
+	db, err := OpenDir(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	// Rows [0, rows): id, id%97, and a 50-value string column so dictionary
+	// encoding has something to chew on.
+	var sb strings.Builder
+	sb.Grow(rows * 16)
+	var wantGrp int64
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "%d,%d,v-%d\n", i, i%97, i%50)
+		wantGrp += int64(i % 97)
+	}
+	data := sb.String()
+	wantSum := int64(rows) * int64(rows-1) / 2
+	path := filepath.Join(t.TempDir(), "sweep.csv")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	legs := []struct {
+		name  string
+		copy  bool
+		batch int // db.Load BatchRows; 0 = adaptive
+	}{
+		{"copy", true, 0},
+		{"load_4096", false, threshold},
+		{"load_8192", false, threshold * 2},
+		{"load_16384", false, rowGroupSize},
+		{"load_adaptive", false, 0},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			table := "sweep_" + leg.name
+			if _, err := db.Exec(fmt.Sprintf("CREATE TABLE %s (id BIGINT, grp BIGINT, v VARCHAR) WITH (rowgroup_size=%d, bulk_threshold=%d)",
+				table, rowGroupSize, threshold)); err != nil {
+				t.Fatal(err)
+			}
+			var loaded, delta int
+			if leg.copy {
+				res, err := db.Exec(fmt.Sprintf("COPY %s FROM '%s' WITH (format='csv')", table, path))
+				if err != nil {
+					t.Fatalf("COPY: %v", err)
+				}
+				tb, err := db.Table(table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := tb.Stats()
+				loaded, delta = res.Affected, st.DeltaRows
+				if st.CompressedRows != rows-st.DeltaRows || st.CompressedGroups == 0 {
+					t.Fatalf("COPY compressed %d rows in %d groups, want %d", st.CompressedRows, st.CompressedGroups, rows-st.DeltaRows)
+				}
+			} else {
+				res, err := db.Load(context.Background(), LoadOptions{
+					Table: table, Reader: strings.NewReader(data), BatchRows: leg.batch,
+				})
+				if err != nil {
+					t.Fatalf("load: %v", err)
+				}
+				if len(res.DeadLetters) != 0 {
+					t.Fatalf("load: %d dead letters", len(res.DeadLetters))
+				}
+				loaded, delta = res.RowsLoaded, res.RowsDelta
+			}
+			if loaded != rows {
+				t.Fatalf("loaded %d rows, want %d", loaded, rows)
+			}
+			if delta >= threshold {
+				t.Fatalf("left %d rows in the delta store, want < %d: direct path only, sub-threshold tail at most", delta, threshold)
+			}
+			res, err := db.Query(fmt.Sprintf("SELECT COUNT(*), SUM(id), SUM(grp) FROM %s", table))
+			if err != nil {
+				t.Fatalf("parity query: %v", err)
+			}
+			got := res.Rows[0]
+			if got[0].I != rows || got[1].I != wantSum || got[2].I != wantGrp {
+				t.Fatalf("parity gate failed: COUNT=%d SUM(id)=%d SUM(grp)=%d, want %d/%d/%d",
+					got[0].I, got[1].I, got[2].I, rows, wantSum, wantGrp)
+			}
+		})
+	}
+}

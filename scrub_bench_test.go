@@ -2,9 +2,7 @@ package apollo_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -13,22 +11,14 @@ import (
 )
 
 // The scrub sweep: load a table large enough that a scrub pass does real
-// work, then measure (a) unpaced scan throughput — the raw verify cost — and
-// (b) paced passes at two byte budgets, proving the limiter holds the pass
-// near its budget, while a foreground query loop records how much read
-// latency the scrubber steals. Always run as a gate (`make check` smoke:
-// pacing must actually pace, queries must not fail); with
-// APOLLO_BENCH_SCRUB=<path> the numbers are recorded as JSON
-// (`make bench-scrub` writes BENCH_scrub.json).
+// work, then run one unpaced pass and paced passes at two byte budgets while
+// a foreground query loop runs against the same table. Gates (`make
+// scrub-smoke`): pacing must actually pace, clean data must report clean,
+// and no concurrent query may fail.
 
 type scrubBenchLeg struct {
-	BytesPerSec int64   `json:"bytes_per_sec"` // 0 = unpaced
-	Bytes       int64   `json:"bytes"`
-	Blobs       int64   `json:"blobs"`
-	Seconds     float64 `json:"seconds"`
-	MBPerSec    float64 `json:"mb_per_sec"`
-	Queries     int64   `json:"concurrent_queries"`
-	AvgQueryMs  float64 `json:"avg_query_ms"`
+	Bytes   int64
+	Seconds float64
 }
 
 func scrubBenchLoad(t *testing.T, db *apollo.DB, rows int) {
@@ -48,13 +38,11 @@ func scrubBenchLoad(t *testing.T, db *apollo.DB, rows int) {
 }
 
 // runScrubLeg runs one pass at the given budget with a foreground query loop
-// and returns the measured leg.
+// and returns the bytes verified and the pass's wall time.
 func runScrubLeg(t *testing.T, db *apollo.DB, bps int64) scrubBenchLeg {
 	t.Helper()
 	stop := make(chan struct{})
 	done := make(chan struct{})
-	var queries int64
-	var queryNanos int64
 	go func() {
 		defer close(done)
 		for {
@@ -63,13 +51,10 @@ func runScrubLeg(t *testing.T, db *apollo.DB, bps int64) scrubBenchLeg {
 				return
 			default:
 			}
-			q0 := time.Now()
 			if _, err := db.Query("SELECT COUNT(*), SUM(grp) FROM sb WHERE id % 7 = 0"); err != nil {
 				t.Errorf("concurrent query failed during scrub: %v", err)
 				return
 			}
-			queryNanos += time.Since(q0).Nanoseconds()
-			queries++
 		}
 	}()
 
@@ -85,18 +70,7 @@ func runScrubLeg(t *testing.T, db *apollo.DB, bps int64) scrubBenchLeg {
 	if rep.Quarantined != 0 || rep.RepairedBacking != 0 || rep.RepairedMemory != 0 {
 		t.Fatalf("clean data reported damage: %+v", rep)
 	}
-	leg := scrubBenchLeg{
-		BytesPerSec: bps,
-		Bytes:       rep.Bytes,
-		Blobs:       rep.Blobs,
-		Seconds:     secs,
-		MBPerSec:    float64(rep.Bytes) / (1 << 20) / secs,
-		Queries:     queries,
-	}
-	if queries > 0 {
-		leg.AvgQueryMs = float64(queryNanos) / float64(queries) / 1e6
-	}
-	return leg
+	return scrubBenchLeg{Bytes: rep.Bytes, Seconds: secs}
 }
 
 func TestScrubSweep(t *testing.T) {
@@ -105,7 +79,7 @@ func TestScrubSweep(t *testing.T) {
 	}
 	cfg := apollo.DefaultConfig()
 	cfg.TupleMoverInterval = 0
-	cfg.FsyncPolicy = "off" // measure verification, not the disk
+	cfg.FsyncPolicy = "off" // exercise verification, not the disk
 	cfg.ScrubInterval = 0
 	db, err := apollo.OpenDir(t.TempDir(), cfg)
 	if err != nil {
@@ -114,41 +88,18 @@ func TestScrubSweep(t *testing.T) {
 	defer db.Close()
 	scrubBenchLoad(t, db, 200_000)
 
-	// Leg 1 — unpaced: raw CRC-verify throughput over every at-rest copy.
-	unpaced := runScrubLeg(t, db, -1) // negative = no pacing
+	// Leg 1 — unpaced: CRC-verify every at-rest copy at full speed.
+	runScrubLeg(t, db, -1) // negative = no pacing
 
 	// Legs 2, 3 — paced at budgets well below raw throughput. The gate: a
 	// paced pass must take at least half its nominal time (i.e. the limiter
 	// is real, not decorative).
-	paced := []scrubBenchLeg{}
 	for _, bps := range []int64{64 << 20, 16 << 20} {
 		leg := runScrubLeg(t, db, bps)
-		paced = append(paced, leg)
 		nominal := float64(leg.Bytes) / float64(bps)
 		if leg.Seconds < nominal/2 {
 			t.Fatalf("pass at %d MB/s over %d bytes took %.3fs, nominal %.3fs — pacing not applied",
 				bps>>20, leg.Bytes, leg.Seconds, nominal)
 		}
 	}
-
-	out := os.Getenv("APOLLO_BENCH_SCRUB")
-	if out == "" {
-		return // smoke mode: pacing + no-damage + query gates passed
-	}
-	doc := map[string]any{
-		"bench":   "scrub",
-		"date":    time.Now().UTC().Format("2006-01-02"),
-		"rows":    200_000,
-		"unpaced": unpaced,
-		"paced":   paced,
-		"note":    "single-process on the CI host; the ratio unpaced-vs-paced and the query-latency deltas are the signal, absolute MB/s is not",
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded scrub sweep to %s", out)
 }
