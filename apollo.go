@@ -430,16 +430,13 @@ func (db *DB) Checkpoint() (uint64, error) {
 	if db.wal == nil {
 		return 0, fmt.Errorf("apollo: checkpoint on an in-memory database")
 	}
-	if err := db.state.CheckWrite(); err != nil {
-		return 0, err
-	}
-	seq, err := persist.WriteCheckpoint(db.dataDir, db.wal, db.cat, db.txns)
-	if err != nil {
-		// A checkpoint that died on ENOSPC or a failed fsync degrades the DB
-		// like any other write; the pre-checkpoint image stays authoritative.
-		db.state.Observe(err)
-		err = db.state.Surface(err)
-	}
+	// A checkpoint that dies on ENOSPC or a failed fsync degrades the DB
+	// like any other write; the pre-checkpoint image stays authoritative.
+	var seq uint64
+	err := db.state.Gate(func() (err error) {
+		seq, err = persist.WriteCheckpoint(db.dataDir, db.wal, db.cat, db.txns)
+		return err
+	})
 	return seq, err
 }
 
@@ -647,35 +644,19 @@ func (db *DB) TableStats(name string) (*stats.TableStats, error) {
 // BulkLoad loads rows through the bulk path (row groups compress directly
 // when large enough; see §4.2).
 func (t *Table) BulkLoad(rows []Row) error {
-	return t.write(func() error { return t.t.BulkLoad(rows) })
+	return t.db.state.Gate(func() error { return t.t.BulkLoad(rows) })
 }
 
 // Insert trickle-inserts one row into the table's delta store.
 func (t *Table) Insert(row Row) error {
-	return t.write(func() error {
+	return t.db.state.Gate(func() error {
 		_, err := t.t.Insert(row)
 		return err
 	})
 }
 
-// write gates a programmatic table write behind the DB's durability health
-// and feeds its error back, mirroring the SQL path.
-func (t *Table) write(fn func() error) error {
-	if t.db != nil {
-		if err := t.db.state.CheckWrite(); err != nil {
-			return err
-		}
-	}
-	err := fn()
-	if err != nil && t.db != nil {
-		t.db.state.Observe(err)
-		err = t.db.state.Surface(err)
-	}
-	return err
-}
-
 // Reorganize force-closes the open delta store and drains the tuple mover.
-func (t *Table) Reorganize() error { return t.t.FlushOpen() }
+func (t *Table) Reorganize() error { return t.db.state.Gate(t.t.FlushOpen) }
 
 // Sample draws up to n rows uniformly at random via bookmarks (§4.4).
 func (t *Table) Sample(n int, seed int64) []Row {

@@ -137,9 +137,44 @@ func (s *State) SetProbe(fn func() error, interval time.Duration) {
 	}
 }
 
-// CheckWrite returns nil when writes are allowed, a *ReadOnlyError while
+// Gate is the one write gate every write entry point passes through: it
+// refuses fn while the database is degraded (a *ReadOnlyError while disk is
+// full, the poison cause after fail-stop), runs it otherwise, and hands fn's
+// error to Report. A nil State gates nothing.
+func (s *State) Gate(fn func() error) error {
+	if s == nil {
+		return fn()
+	}
+	if err := s.check(); err != nil {
+		return err
+	}
+	return s.Report(fn())
+}
+
+// Report is Gate's observe-only half, for a write that must run whatever
+// the mode (COMMIT: a read-only transaction commits without touching the
+// WAL, so it may finish while the database is degraded). It Observes err and
+// returns the typed rejection the caller should surface: the write that
+// *discovers* disk exhaustion gets the same ReadOnlyError every later gated
+// write will see, instead of a raw ENOSPC clients would have to classify
+// themselves. Errors that didn't degrade the state pass through unchanged.
+// A nil State passes err through.
+func (s *State) Report(err error) error {
+	if s == nil || err == nil {
+		return err
+	}
+	s.Observe(err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.mode == ReadOnly && IsNoSpace(err) {
+		return &ReadOnlyError{Cause: err, Since: s.since}
+	}
+	return err
+}
+
+// check returns nil when writes are allowed, a *ReadOnlyError while
 // degraded by disk exhaustion, and the poison cause after fail-stop.
-func (s *State) CheckWrite() error {
+func (s *State) check() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch s.mode {
@@ -150,24 +185,6 @@ func (s *State) CheckWrite() error {
 	default:
 		return nil
 	}
-}
-
-// Surface converts a write-path error into the typed rejection the caller
-// should return, after the error has been Observed: the write that
-// *discovers* disk exhaustion surfaces the same ReadOnlyError every
-// subsequent gated write will see, instead of a raw ENOSPC that clients
-// would have to classify themselves. Errors that didn't degrade the state
-// pass through unchanged.
-func (s *State) Surface(err error) error {
-	if err == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.mode == ReadOnly && IsNoSpace(err) {
-		return &ReadOnlyError{Cause: err, Since: s.since}
-	}
-	return err
 }
 
 // Mode returns the current mode.

@@ -14,8 +14,8 @@ import (
 func TestHealthyAllowsWrites(t *testing.T) {
 	s := New()
 	defer s.Close()
-	if err := s.CheckWrite(); err != nil {
-		t.Fatalf("healthy CheckWrite: %v", err)
+	if err := s.check(); err != nil {
+		t.Fatalf("healthy check: %v", err)
 	}
 	if s.Mode() != Healthy {
 		t.Fatalf("mode %v, want Healthy", s.Mode())
@@ -35,13 +35,13 @@ func TestENOSPCEntersReadOnlyAndProbeRecovers(t *testing.T) {
 	}, time.Millisecond)
 
 	s.Observe(fmt.Errorf("append: %w", syscall.ENOSPC))
-	err := s.CheckWrite()
+	err := s.check()
 	if !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("CheckWrite while full: got %v, want ErrReadOnly", err)
+		t.Fatalf("check while full: got %v, want ErrReadOnly", err)
 	}
 	var roe *ReadOnlyError
 	if !errors.As(err, &roe) {
-		t.Fatalf("CheckWrite error %v is not a *ReadOnlyError", err)
+		t.Fatalf("check error %v is not a *ReadOnlyError", err)
 	}
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("ReadOnlyError does not unwrap to ENOSPC: %v", err)
@@ -62,8 +62,8 @@ func TestENOSPCEntersReadOnlyAndProbeRecovers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := s.CheckWrite(); err != nil {
-		t.Fatalf("CheckWrite after recovery: %v", err)
+	if err := s.check(); err != nil {
+		t.Fatalf("check after recovery: %v", err)
 	}
 	st := s.Snapshot()
 	if st.ReadOnlyEntered != 1 || st.Recovered != 1 {
@@ -82,9 +82,9 @@ func TestPoisonIsPermanentAndOverridesReadOnly(t *testing.T) {
 	if s.Mode() != Poisoned {
 		t.Fatalf("mode %v after poison, want Poisoned", s.Mode())
 	}
-	err := s.CheckWrite()
+	err := s.check()
 	if !errors.Is(err, wal.ErrPoisoned) {
-		t.Fatalf("CheckWrite after poison: got %v, want ErrPoisoned", err)
+		t.Fatalf("check after poison: got %v, want ErrPoisoned", err)
 	}
 	// The always-succeeding probe must NOT recover a poisoned state.
 	time.Sleep(20 * time.Millisecond)
@@ -116,5 +116,50 @@ func TestProbeInstalledAfterDegradeStillRecovers(t *testing.T) {
 			t.Fatal("late-installed probe never recovered the state")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestGateChecksRunsObservesAndSurfaces(t *testing.T) {
+	var nilState *State
+	ran := false
+	if err := nilState.Gate(func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("nil Gate: ran=%v err=%v", ran, err)
+	}
+	plain := errors.New("plain")
+	if err := nilState.Report(plain); err != plain {
+		t.Fatalf("nil Report: got %v, want the error unchanged", err)
+	}
+
+	s := New()
+	defer s.Close()
+	if err := s.Gate(func() error { return plain }); err != plain {
+		t.Fatalf("ordinary write error: got %v, want it unchanged", err)
+	}
+	// The write that discovers disk exhaustion gets the typed rejection.
+	full := fmt.Errorf("append: %w", syscall.ENOSPC)
+	err := s.Gate(func() error { return full })
+	var roe *ReadOnlyError
+	if !errors.As(err, &roe) || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("discovering write: got %v, want a *ReadOnlyError wrapping ENOSPC", err)
+	}
+	// Later writes are refused before they run.
+	ran = false
+	if err := s.Gate(func() error { ran = true; return nil }); !errors.Is(err, ErrReadOnly) || ran {
+		t.Fatalf("gated write while read-only: ran=%v err=%v", ran, err)
+	}
+	// Report never refuses: a write that succeeds while degraded stays nil.
+	if err := s.Report(nil); err != nil {
+		t.Fatalf("Report(nil) while read-only: %v", err)
+	}
+
+	poison := &wal.PoisonedError{Cause: errors.New("fsync EIO")}
+	if err := s.Report(poison); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("Report(poison): got %v, want ErrPoisoned", err)
+	}
+	if s.Mode() != Poisoned {
+		t.Fatalf("mode %v after a poisoned write, want Poisoned", s.Mode())
+	}
+	if err := s.Gate(func() error { ran = true; return nil }); !errors.Is(err, wal.ErrPoisoned) {
+		t.Fatalf("gated write after poison: got %v, want ErrPoisoned", err)
 	}
 }

@@ -613,14 +613,17 @@ func (c *groupCursor) nextBatch() *vector.Batch {
 func (s *Scan) deltaBatch(pos *int) *vector.Batch {
 	rows := s.Snap.Delta
 	picked := make([]sqltypes.Row, 0, vector.DefaultBatchSize)
+	start := *pos
 	for *pos < len(rows) && len(picked) < vector.DefaultBatchSize {
 		row := rows[*pos]
 		*pos++
-		atomic.AddInt64(&s.Stats.DeltaRows, 1)
-		mScanDeltaRows.Inc()
 		if s.deltaRowQualifies(row) {
 			picked = append(picked, row)
 		}
+	}
+	if examined := int64(*pos - start); examined > 0 {
+		atomic.AddInt64(&s.Stats.DeltaRows, examined)
+		mScanDeltaRows.Add(examined)
 	}
 	if len(picked) == 0 {
 		return nil

@@ -36,11 +36,17 @@ func (e *Engine) Load(ctx context.Context, tableName string, r io.Reader, spec L
 	if e.closed.Load() {
 		return &load.Result{}, txn.ErrClosed
 	}
-	if e.State != nil {
-		if err := e.State.CheckWrite(); err != nil {
-			return &load.Result{}, err
-		}
-	}
+	res := &load.Result{}
+	err := e.State.Gate(func() (err error) {
+		res, err = e.load(ctx, tableName, r, spec)
+		return err
+	})
+	return res, err
+}
+
+// load is Load without the degrade gate, for callers already behind it
+// (COPY runs inside the statement dispatcher's gate).
+func (e *Engine) load(ctx context.Context, tableName string, r io.Reader, spec LoadSpec) (*load.Result, error) {
 	t, err := e.Cat.Get(tableName)
 	if err != nil {
 		return &load.Result{}, err
@@ -75,12 +81,7 @@ func (e *Engine) Load(ctx context.Context, tableName string, r io.Reader, spec L
 		defer cancel() // unblocks the producer goroutine if the load aborts
 		rr = load.Pipelined(ctx, rr, spec.QueueDepth)
 	}
-	res, err := ldr.Run(ctx, rr)
-	if err != nil && e.State != nil {
-		e.State.Observe(err)
-		err = e.State.Surface(err)
-	}
-	return res, err
+	return ldr.Run(ctx, rr)
 }
 
 // copyFrom executes COPY table FROM 'path': open the file and run the load
@@ -91,7 +92,7 @@ func (e *Engine) copyFrom(ctx context.Context, c *Copy) (*Result, error) {
 		return nil, fmt.Errorf("sql: COPY %s: %w", c.Table, err)
 	}
 	defer f.Close()
-	res, err := e.Load(ctx, c.Table, f, LoadSpec{
+	res, err := e.load(ctx, c.Table, f, LoadSpec{
 		Format:         c.Format,
 		Header:         c.Header,
 		Delim:          c.Delim,

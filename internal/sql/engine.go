@@ -31,10 +31,11 @@ type Engine struct {
 	// Txns, when set, enables transactions: sessions can BEGIN/COMMIT/
 	// ROLLBACK, and autocommit SELECTs pin a consistent cross-table snapshot.
 	Txns *txn.Manager
-	// State, when set, gates writes behind the DB's durability health: DML,
-	// DDL, and COPY fail fast with a typed error while the DB is read-only
-	// (disk full) or poisoned (failed fsync), and every write error is fed
-	// back so storage failures flip the state. Reads are never gated.
+	// State, when set, gates writes behind the DB's durability health
+	// (degrade.State.Gate): DML, DDL, COPY and index maintenance fail fast
+	// with a typed error while the DB is read-only (disk full) or poisoned
+	// (failed fsync), and every write error is fed back so storage failures
+	// flip the state. Reads are never gated.
 	State *degrade.State
 
 	statsOnce  sync.Once
@@ -83,25 +84,42 @@ func (e *Engine) ExecStmt(st Statement) (*Result, error) {
 // ExecStmtContext executes a parsed statement under ctx (autocommit; use a
 // Session for multi-statement transactions).
 func (e *Engine) ExecStmtContext(ctx context.Context, st Statement) (*Result, error) {
-	return e.execStmt(ctx, st, nil)
+	return e.execStmt(ctx, st, nil, nil, nil)
 }
 
-// execStmt executes one statement, inside transaction tx when non-nil.
-func (e *Engine) execStmt(ctx context.Context, st Statement, tx *txn.Txn) (*Result, error) {
+// execStmt is the one statement dispatcher. Every statement runs through it:
+// ad-hoc or prepared (p non-nil: st is p's statement, executed with p's bound
+// parameters and, for a SELECT, its reusable plan), materialized or streamed
+// (sink non-nil: a SELECT's rows go to sink instead of the Result), in
+// autocommit or inside transaction tx. Reads run ungated; every other
+// statement is a write and passes the degrade gate.
+func (e *Engine) execStmt(ctx context.Context, st Statement, tx *txn.Txn, p *Prepared, sink RowSink) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if e.closed.Load() {
 		return nil, txn.ErrClosed
 	}
-	switch st.(type) {
-	case *Insert, *Delete, *Update, *Copy, *CreateTable, *DropTable, *Reorganize, *Rebuild:
-		if e.State != nil {
-			if err := e.State.CheckWrite(); err != nil {
-				return nil, err
-			}
-		}
+	switch x := st.(type) {
+	case *Begin, *Commit, *Rollback:
+		return nil, fmt.Errorf("sql: transaction control requires a session (Engine.NewSession)")
+	case *Select:
+		return e.runSelect(ctx, x, tx, p, sink)
+	case *Explain:
+		return e.explain(ctx, x, tx)
+	case *ShowStats:
+		return e.showStats(x)
 	}
+	var res *Result
+	err := e.State.Gate(func() (err error) {
+		res, err = e.write(ctx, st, tx, p)
+		return err
+	})
+	return res, err
+}
+
+// write executes one write statement behind the degrade gate.
+func (e *Engine) write(ctx context.Context, st Statement, tx *txn.Txn, p *Prepared) (*Result, error) {
 	if tx != nil {
 		switch st.(type) {
 		case *CreateTable, *DropTable, *Reorganize, *Rebuild:
@@ -112,41 +130,36 @@ func (e *Engine) execStmt(ctx context.Context, st Statement, tx *txn.Txn) (*Resu
 			return nil, fmt.Errorf("sql: COPY is not allowed inside a transaction")
 		}
 	}
+	var bag *ParamBag
+	if p != nil {
+		bag = p.bag
+	}
 	switch x := st.(type) {
-	case *Begin, *Commit, *Rollback:
-		return nil, fmt.Errorf("sql: transaction control requires a session (Engine.NewSession)")
-	case *Select:
-		return e.runSelect(ctx, x, tx)
-	case *Explain:
-		if x.Analyze {
-			return e.explainAnalyze(ctx, x.Query, tx)
-		}
-		return e.explain(x.Query, tx)
 	case *CreateTable:
-		return e.observed(e.createTable(x))
+		return e.createTable(x)
 	case *DropTable:
 		if err := e.Cat.Drop(x.Name); err != nil {
-			return e.observed(nil, err)
+			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("dropped table %s", x.Name)}, nil
 	case *Copy:
-		return e.observed(e.copyFrom(ctx, x))
+		return e.copyFrom(ctx, x)
 	case *Insert:
-		return e.observed(e.insert(x, tx, nil))
+		return e.insert(x, tx, bag)
 	case *Delete:
-		return e.observed(e.delete(x, tx, nil))
+		return e.delete(x, tx, bag)
 	case *Update:
-		return e.observed(e.update(x, tx, nil))
+		return e.update(x, tx, bag)
 	case *Reorganize:
 		t, err := e.Cat.Get(x.Table)
 		if err != nil {
 			return nil, err
 		}
 		if err := t.FlushOpen(); err != nil {
-			return e.observed(nil, err)
+			return nil, err
 		}
 		if _, err := t.MergeSmallGroups(); err != nil {
-			return e.observed(nil, err)
+			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("reorganized %s", x.Table)}, nil
 	case *Rebuild:
@@ -155,25 +168,12 @@ func (e *Engine) execStmt(ctx context.Context, st Statement, tx *txn.Txn) (*Resu
 			return nil, err
 		}
 		if err := t.Rebuild(); err != nil {
-			return e.observed(nil, err)
+			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("rebuilt %s", x.Table)}, nil
-	case *ShowStats:
-		return e.showStats(x)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", st)
 	}
-}
-
-// observed feeds a write statement's error to the degrade state (ENOSPC
-// flips the DB read-only, a poisoned WAL fail-stops it) before passing the
-// result through unchanged.
-func (e *Engine) observed(res *Result, err error) (*Result, error) {
-	if err != nil && e.State != nil {
-		e.State.Observe(err)
-		err = e.State.Surface(err)
-	}
-	return res, err
 }
 
 // showStats renders the optimizer's statistics snapshot for one table, one
@@ -233,8 +233,12 @@ func (e *Engine) TableStats(name string) (*stats.TableStats, *table.Table, error
 	return e.statsCache.Stats(t), t, nil
 }
 
-func (e *Engine) compile(s *Select, view table.ReadView) (*plan.Compiled, error) {
-	b := &Binder{Tables: e.Cat}
+// compile binds and plans a SELECT against view. A non-nil bag compiles a
+// prepared statement's reusable plan: its scans record rebind hooks and the
+// metadata-only shortcuts are disabled (they bake compile-time data into the
+// plan).
+func (e *Engine) compile(s *Select, view table.ReadView, bag *ParamBag) (*plan.Compiled, error) {
+	b := &Binder{Tables: e.Cat, Params: bag}
 	node, err := b.BindSelect(s)
 	if err != nil {
 		return nil, err
@@ -245,6 +249,7 @@ func (e *Engine) compile(s *Select, view table.ReadView) (*plan.Compiled, error)
 		opts.StatsCache = e.statsCache
 	}
 	opts.View = view
+	opts.Reusable = bag != nil
 	return plan.Compile(node, opts)
 }
 
@@ -265,18 +270,41 @@ func (e *Engine) queryView(tx *txn.Txn) (table.ReadView, func()) {
 	return table.ReadView{}, func() {}
 }
 
-func (e *Engine) runSelect(ctx context.Context, s *Select, tx *txn.Txn) (*Result, error) {
+// selectPlan resolves the read view a SELECT runs under and returns its
+// plan for that view: p's reusable plan re-pointed at it, or a fresh compile
+// for an ad-hoc statement. The caller runs release when the query is done.
+func (e *Engine) selectPlan(s *Select, tx *txn.Txn, p *Prepared) (c *plan.Compiled, release func(), err error) {
 	view, release := e.queryView(tx)
+	if p != nil {
+		p.compiled.Rebind(view)
+		return p.compiled, release, nil
+	}
+	if c, err = e.compile(s, view, nil); err != nil {
+		release()
+		return nil, nil, err
+	}
+	return c, release, nil
+}
+
+// runSelect executes a SELECT, materializing its rows in the Result or, with
+// a sink, streaming them (the serving path's chunked result encoding; the
+// Result then carries the schema and compiled stats but no rows).
+func (e *Engine) runSelect(ctx context.Context, s *Select, tx *txn.Txn, p *Prepared, sink RowSink) (*Result, error) {
+	c, release, err := e.selectPlan(s, tx, p)
+	if err != nil {
+		return nil, err
+	}
 	defer release()
-	c, err := e.compile(s, view)
+	res := &Result{Schema: c.Schema, Compiled: c}
+	if sink == nil {
+		res.Rows, err = c.RunContext(ctx)
+	} else if err = sink.Schema(c.Schema); err == nil {
+		err = c.StreamContext(ctx, sink.Row)
+	}
 	if err != nil {
 		return nil, err
 	}
-	rows, err := c.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: c.Schema, Rows: rows, Compiled: c}, nil
+	return res, nil
 }
 
 // RowSink receives one streamed result set: Schema once, then Row per result
@@ -288,49 +316,17 @@ type RowSink interface {
 	Row(sqltypes.Row) error
 }
 
-// streamSelect is runSelect with a row sink instead of a materialized result:
-// the serving path's chunked result encoding. The returned Result carries the
-// schema and compiled stats but no rows.
-func (e *Engine) streamSelect(ctx context.Context, s *Select, tx *txn.Txn, sink RowSink) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e.closed.Load() {
-		return nil, txn.ErrClosed
-	}
-	view, release := e.queryView(tx)
-	defer release()
-	c, err := e.compile(s, view)
+// explain renders a SELECT's plan. EXPLAIN ANALYZE first executes the query
+// (discarding its rows) and annotates the operator tree with the
+// per-operator counters that run produced.
+func (e *Engine) explain(ctx context.Context, x *Explain, tx *txn.Txn) (*Result, error) {
+	c, release, err := e.selectPlan(x.Query, tx, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := sink.Schema(c.Schema); err != nil {
-		return nil, err
-	}
-	if err := c.StreamContext(ctx, sink.Row); err != nil {
-		return nil, err
-	}
-	return &Result{Schema: c.Schema, Compiled: c}, nil
-}
-
-func (e *Engine) explain(s *Select, tx *txn.Txn) (*Result, error) {
-	view, release := e.queryView(tx)
 	defer release()
-	c, err := e.compile(s, view)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Schema: c.Schema, Message: c.Explain(), Compiled: c}, nil
-}
-
-// explainAnalyze executes the query (discarding its rows) and renders the
-// operator tree annotated with the per-operator counters that run produced.
-func (e *Engine) explainAnalyze(ctx context.Context, s *Select, tx *txn.Txn) (*Result, error) {
-	view, release := e.queryView(tx)
-	defer release()
-	c, err := e.compile(s, view)
-	if err != nil {
-		return nil, err
+	if !x.Analyze {
+		return &Result{Schema: c.Schema, Message: c.Explain(), Compiled: c}, nil
 	}
 	if _, err := c.RunContext(ctx); err != nil {
 		return nil, err

@@ -42,9 +42,8 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 	p := &Prepared{e: e, src: src, st: st, bag: NewParamBag(n)}
 	switch x := st.(type) {
 	case *Select:
-		// Reusable compilation: scans record rebind hooks, metadata-only
-		// shortcuts are disabled (they bake compile-time data into the plan).
-		c, err := e.compileReusable(x, p.bag)
+		// Reusable compilation: each execution re-points it (see compile).
+		c, err := e.compile(x, table.ReadView{}, p.bag)
 		if err != nil {
 			return nil, err
 		}
@@ -86,22 +85,6 @@ func (e *Engine) Prepare(src string) (*Prepared, error) {
 	return p, nil
 }
 
-func (e *Engine) compileReusable(s *Select, bag *ParamBag) (*plan.Compiled, error) {
-	b := &Binder{Tables: e.Cat, Params: bag}
-	node, err := b.BindSelect(s)
-	if err != nil {
-		return nil, err
-	}
-	e.statsOnce.Do(func() { e.statsCache = plan.NewStatsCache() })
-	opts := e.PlanOpts
-	if opts.StatsCache == nil {
-		opts.StatsCache = e.statsCache
-	}
-	opts.View = table.ReadView{}
-	opts.Reusable = true
-	return plan.Compile(node, opts)
-}
-
 // NumParams returns the placeholder count.
 func (p *Prepared) NumParams() int { return p.bag.Len() }
 
@@ -116,126 +99,25 @@ func (p *Prepared) Exec(args ...sqltypes.Value) (*Result, error) {
 
 // ExecContext executes the prepared statement in autocommit.
 func (p *Prepared) ExecContext(ctx context.Context, args ...sqltypes.Value) (*Result, error) {
-	return p.exec(ctx, nil, args)
-}
-
-// ExecPrepared executes a prepared statement inside the session's open
-// transaction, if any (same transaction semantics as ExecStmtContext).
-func (s *Session) ExecPrepared(ctx context.Context, p *Prepared, args ...sqltypes.Value) (*Result, error) {
-	if p.e != s.e {
-		return nil, fmt.Errorf("sql: prepared statement belongs to a different database")
-	}
-	if s.tx != nil && s.tx.Done() {
-		s.tx = nil
-		return nil, txn.ErrClosed
-	}
-	res, err := p.exec(ctx, s.tx, args)
-	s.noteDMLErr(ctx, err)
-	return res, err
-}
-
-// StreamPrepared is ExecPrepared with a row sink: a prepared SELECT's rows
-// are delivered to sink as they are produced (the returned Result has no
-// Rows); any other prepared statement executes as ExecPrepared and sink is
-// never called. This is the serving path for parameterized queries.
-func (s *Session) StreamPrepared(ctx context.Context, p *Prepared, sink RowSink, args ...sqltypes.Value) (*Result, error) {
-	if p.e != s.e {
-		return nil, fmt.Errorf("sql: prepared statement belongs to a different database")
-	}
-	if s.tx != nil && s.tx.Done() {
-		s.tx = nil
-		return nil, txn.ErrClosed
-	}
-	res, err := p.stream(ctx, s.tx, sink, args)
-	s.noteDMLErr(ctx, err)
-	return res, err
+	return p.run(ctx, nil, nil, args)
 }
 
 // StreamContext executes the prepared statement in autocommit, streaming a
 // SELECT's rows to sink (see Session.StreamPrepared).
 func (p *Prepared) StreamContext(ctx context.Context, sink RowSink, args ...sqltypes.Value) (*Result, error) {
-	return p.stream(ctx, nil, sink, args)
+	return p.run(ctx, nil, sink, args)
 }
 
-// stream is exec with a row sink for SELECTs.
-func (p *Prepared) stream(ctx context.Context, tx *txn.Txn, sink RowSink, args []sqltypes.Value) (*Result, error) {
-	if _, ok := p.st.(*Select); !ok {
-		return p.exec(ctx, tx, args)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if p.e.closed.Load() {
-		return nil, txn.ErrClosed
-	}
+// run binds args and executes the statement through the engine's
+// dispatcher. Executions are serialized: the parameter cells and the
+// compiled operator tree hold per-execution state.
+func (p *Prepared) run(ctx context.Context, tx *txn.Txn, sink RowSink, args []sqltypes.Value) (*Result, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.bag.BindArgs(args); err != nil {
 		return nil, err
 	}
-	view, release := p.e.queryView(tx)
-	defer release()
-	p.compiled.Rebind(view)
-	if err := sink.Schema(p.compiled.Schema); err != nil {
-		return nil, err
-	}
-	if err := p.compiled.StreamContext(ctx, sink.Row); err != nil {
-		return nil, err
-	}
-	return &Result{Schema: p.compiled.Schema, Compiled: p.compiled}, nil
-}
-
-// exec serializes executions: the parameter cells and the compiled operator
-// tree hold per-execution state.
-// checkWrite gates a prepared DML execution behind the DB's durability
-// health, same as the ad-hoc statement path.
-func (p *Prepared) checkWrite() error {
-	if p.e.State != nil {
-		return p.e.State.CheckWrite()
-	}
-	return nil
-}
-
-func (p *Prepared) exec(ctx context.Context, tx *txn.Txn, args []sqltypes.Value) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if p.e.closed.Load() {
-		return nil, txn.ErrClosed
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.bag.BindArgs(args); err != nil {
-		return nil, err
-	}
-	switch x := p.st.(type) {
-	case *Select:
-		view, release := p.e.queryView(tx)
-		defer release()
-		p.compiled.Rebind(view)
-		rows, err := p.compiled.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: p.compiled.Schema, Rows: rows, Compiled: p.compiled}, nil
-	case *Insert:
-		if err := p.checkWrite(); err != nil {
-			return nil, err
-		}
-		return p.e.observed(p.e.insert(x, tx, p.bag))
-	case *Delete:
-		if err := p.checkWrite(); err != nil {
-			return nil, err
-		}
-		return p.e.observed(p.e.delete(x, tx, p.bag))
-	case *Update:
-		if err := p.checkWrite(); err != nil {
-			return nil, err
-		}
-		return p.e.observed(p.e.update(x, tx, p.bag))
-	default:
-		return nil, fmt.Errorf("sql: cannot execute prepared %T", p.st)
-	}
+	return p.e.execStmt(ctx, p.st, tx, p, sink)
 }
 
 // bindSetClauses binds an UPDATE's SET expressions, fixing placeholder types

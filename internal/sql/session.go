@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"apollo/internal/sqltypes"
 	"apollo/internal/table"
 	"apollo/internal/txn"
 )
@@ -56,34 +57,7 @@ func (s *Session) ExecContext(ctx context.Context, src string) (*Result, error) 
 
 // ExecStmtContext executes a parsed statement (see ExecContext).
 func (s *Session) ExecStmtContext(ctx context.Context, st Statement) (*Result, error) {
-	switch st.(type) {
-	case *Begin:
-		return s.begin(ctx)
-	case *Commit:
-		return s.commit(ctx)
-	case *Rollback:
-		return s.rollback(ctx)
-	}
-	// A transaction aborted from under the session (DB close) is detected
-	// here rather than deep in a statement, for a clear error.
-	if s.tx != nil && s.tx.Done() {
-		s.tx = nil
-		return nil, txn.ErrClosed
-	}
-	res, err := s.e.execStmt(ctx, st, s.tx)
-	s.noteDMLErr(ctx, err)
-	return res, err
-}
-
-// noteDMLErr applies the session's conflict policy to a statement error: on
-// ErrWriteConflict the transaction is already poisoned (first-writer-wins
-// discarded the losing write), so release its snapshot now — the client
-// retries from BEGIN.
-func (s *Session) noteDMLErr(ctx context.Context, err error) {
-	if err != nil && s.tx != nil && errors.Is(err, table.ErrWriteConflict) {
-		s.tx.Rollback(ctx)
-		s.tx = nil
-	}
+	return s.run(ctx, st, nil, nil, nil)
 }
 
 // StreamContext parses and executes one statement; a SELECT's rows are
@@ -95,15 +69,60 @@ func (s *Session) StreamContext(ctx context.Context, src string, sink RowSink) (
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*Select)
-	if !ok {
-		return s.ExecStmtContext(ctx, st)
+	return s.run(ctx, st, nil, sink, nil)
+}
+
+// ExecPrepared executes a prepared statement inside the session's open
+// transaction, if any (same transaction semantics as ExecStmtContext).
+func (s *Session) ExecPrepared(ctx context.Context, p *Prepared, args ...sqltypes.Value) (*Result, error) {
+	return s.run(ctx, p.st, p, nil, args)
+}
+
+// StreamPrepared is ExecPrepared with a row sink: a prepared SELECT's rows
+// are delivered to sink as they are produced (the returned Result has no
+// Rows); any other prepared statement executes as ExecPrepared and sink is
+// never called. This is the serving path for parameterized queries.
+func (s *Session) StreamPrepared(ctx context.Context, p *Prepared, sink RowSink, args ...sqltypes.Value) (*Result, error) {
+	return s.run(ctx, p.st, p, sink, args)
+}
+
+// run is the one body behind every session entry point: transaction
+// control, then the statement (ad-hoc, or prepared p bound to args) through
+// the engine's dispatcher inside the open transaction, then the session's
+// conflict policy.
+func (s *Session) run(ctx context.Context, st Statement, p *Prepared, sink RowSink, args []sqltypes.Value) (*Result, error) {
+	switch st.(type) {
+	case *Begin:
+		return s.begin(ctx)
+	case *Commit:
+		return s.commit(ctx)
+	case *Rollback:
+		return s.rollback(ctx)
 	}
+	if p != nil && p.e != s.e {
+		return nil, fmt.Errorf("sql: prepared statement belongs to a different database")
+	}
+	// A transaction aborted from under the session (DB close) is detected
+	// here rather than deep in a statement, for a clear error.
 	if s.tx != nil && s.tx.Done() {
 		s.tx = nil
 		return nil, txn.ErrClosed
 	}
-	return s.e.streamSelect(ctx, sel, s.tx, sink)
+	var res *Result
+	var err error
+	if p != nil {
+		res, err = p.run(ctx, s.tx, sink, args)
+	} else {
+		res, err = s.e.execStmt(ctx, st, s.tx, nil, sink)
+	}
+	// On ErrWriteConflict the transaction is already poisoned
+	// (first-writer-wins discarded the losing write), so release its
+	// snapshot now — the client retries from BEGIN.
+	if err != nil && s.tx != nil && errors.Is(err, table.ErrWriteConflict) {
+		s.tx.Rollback(ctx)
+		s.tx = nil
+	}
+	return res, err
 }
 
 func (s *Session) begin(ctx context.Context) (*Result, error) {
@@ -127,10 +146,13 @@ func (s *Session) commit(ctx context.Context) (*Result, error) {
 	}
 	tx := s.tx
 	s.tx = nil
-	if err := tx.Commit(ctx); err != nil {
-		// A commit that failed at the durability boundary (ENOSPC on the WAL,
-		// poisoned writer) must flip the DB's health, not just this session.
-		return s.e.observed(nil, err)
+	// COMMIT takes the gate's observe-only half: a read-only transaction
+	// commits without touching the WAL, so it may finish while the DB is
+	// degraded, but a commit that fails at the durability boundary (ENOSPC
+	// on the WAL, poisoned writer) must flip the DB's health, not just this
+	// session's.
+	if err := s.e.State.Report(tx.Commit(ctx)); err != nil {
+		return nil, err
 	}
 	return &Result{Message: "commit"}, nil
 }

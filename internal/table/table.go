@@ -1164,32 +1164,13 @@ func (t *Table) Rebuild() error {
 		return ErrBusyTxns
 	}
 
-	// Collect all live rows.
-	var rows []sqltypes.Row
-	for _, g := range t.idx.Groups() {
-		readers := make([]*colstore.ColumnReader, t.Schema.Len())
-		for c := range readers {
-			r, err := t.idx.OpenColumn(g, c)
-			if err != nil {
-				return err
-			}
-			readers[c] = r
-		}
-		del := t.deletes.Snapshot(g.ID)
-		for i := 0; i < g.Rows; i++ {
-			if del != nil && del.Get(i) {
-				continue
-			}
-			row := make(sqltypes.Row, t.Schema.Len())
-			for c, r := range readers {
-				row[c] = r.Value(i)
-			}
-			rows = append(rows, row)
-		}
-	}
+	// Gather the delta rows, then replace every compressed group with
+	// groups holding its live rows plus those (compressMu is already held
+	// for the whole rebuild).
+	var deltaRows []sqltypes.Row
 	collect := func(s *delta.Store) error {
 		return s.Scan(func(_ uint64, row sqltypes.Row) bool {
-			rows = append(rows, row)
+			deltaRows = append(deltaRows, row)
 			return true
 		})
 	}
@@ -1206,40 +1187,8 @@ func (t *Table) Rebuild() error {
 			return err
 		}
 	}
-
-	// Build replacement row groups before tearing anything down (compressMu
-	// is already held for the whole rebuild).
-	var newGroups []*colstore.RowGroup
-	var newDicts [][]colstore.DictAppend
-	for i := 0; i < len(rows); i += t.Opts.RowGroupSize {
-		end := i + t.Opts.RowGroupSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		bufs := colstore.BuffersFromRows(t.Schema, rows[i:end])
-		g, _, dicts, err := t.buildGroup(bufs)
-		if err != nil {
-			return err
-		}
-		newGroups = append(newGroups, g)
-		newDicts = append(newDicts, dicts)
-	}
-
-	// Swap: drop old groups and delta state, publish the rebuilt groups.
-	// Retires are logged before the blobs go away so a crash between them
-	// only leaves orphan blob files (recovery GCs those), never a directory
-	// entry whose blobs are gone.
-	for _, g := range t.idx.Groups() {
-		if err := t.logWAL(&wal.Record{Type: wal.TGroupRetire, A: uint64(g.ID)}); err != nil {
-			return err
-		}
-		t.idx.RemoveGroup(g.ID)
-		t.deletes.DropGroup(g.ID)
-	}
-	for i, g := range newGroups {
-		if err := t.publishLocked(g, newDicts[i], 0, nil); err != nil {
-			return err
-		}
+	if _, err := t.rewriteGroupsLocked(t.idx.Groups(), deltaRows); err != nil {
+		return err
 	}
 	if err := t.logWAL(&wal.Record{Type: wal.TTableReset, A: uint64(t.deltaID + 1)}); err != nil {
 		return err
@@ -1281,9 +1230,24 @@ func (t *Table) MergeSmallGroups() (int, error) {
 		return 0, nil
 	}
 
-	// Materialize the victims' live rows.
+	merged, err := t.rewriteGroupsLocked(victims, nil)
+	if err != nil {
+		return 0, err
+	}
+	return len(victims) - merged, nil
+}
+
+// rewriteGroupsLocked replaces groups with freshly compressed row groups
+// holding their live rows followed by extra, in RowGroupSize chunks, and
+// returns how many groups it published. Deleted rows are dropped along with
+// the old groups' delete-bitmap entries. The replacements are built before
+// anything is torn down, and each retire is logged before its blobs go away,
+// so a crash in between only leaves orphan blob files (recovery GCs those),
+// never a directory entry whose blobs are gone. The caller holds compressMu
+// and t.mu.
+func (t *Table) rewriteGroupsLocked(groups []*colstore.RowGroup, extra []sqltypes.Row) (int, error) {
 	var rows []sqltypes.Row
-	for _, g := range victims {
+	for _, g := range groups {
 		readers := make([]*colstore.ColumnReader, t.Schema.Len())
 		for c := range readers {
 			r, err := t.idx.OpenColumn(g, c)
@@ -1304,35 +1268,31 @@ func (t *Table) MergeSmallGroups() (int, error) {
 			rows = append(rows, row)
 		}
 	}
+	rows = append(rows, extra...)
 
-	// Build replacements, then swap (compressMu held for the whole merge).
-	var merged []*colstore.RowGroup
-	var mergedDicts [][]colstore.DictAppend
+	var built []*colstore.RowGroup
+	var builtDicts [][]colstore.DictAppend
 	for i := 0; i < len(rows); i += t.Opts.RowGroupSize {
-		end := i + t.Opts.RowGroupSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		bufs := colstore.BuffersFromRows(t.Schema, rows[i:end])
-		g, _, dicts, err := t.buildGroup(bufs)
+		end := min(i+t.Opts.RowGroupSize, len(rows))
+		g, _, dicts, err := t.buildGroup(colstore.BuffersFromRows(t.Schema, rows[i:end]))
 		if err != nil {
 			return 0, err
 		}
-		merged = append(merged, g)
-		mergedDicts = append(mergedDicts, dicts)
+		built = append(built, g)
+		builtDicts = append(builtDicts, dicts)
 	}
 
-	for _, g := range victims {
+	for _, g := range groups {
 		if err := t.logWAL(&wal.Record{Type: wal.TGroupRetire, A: uint64(g.ID)}); err != nil {
 			return 0, err
 		}
 		t.idx.RemoveGroup(g.ID)
 		t.deletes.DropGroup(g.ID)
 	}
-	for i, g := range merged {
-		if err := t.publishLocked(g, mergedDicts[i], 0, nil); err != nil {
+	for i, g := range built {
+		if err := t.publishLocked(g, builtDicts[i], 0, nil); err != nil {
 			return 0, err
 		}
 	}
-	return len(victims) - len(merged), nil
+	return len(built), nil
 }

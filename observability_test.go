@@ -74,6 +74,15 @@ func TestQueryStatsSnapshotPerQuery(t *testing.T) {
 	if r.Stats.StringColsCoded == 0 {
 		t.Errorf("expected coded string gathers, stats = %+v", r.Stats)
 	}
+
+	// The process-wide delta-row counter moves by exactly the query's own
+	// count, bumped once per delta batch.
+	before := metrics.Default.Snapshot()["apollo_scan_delta_rows_total"]
+	r = db.MustExec(queries[0])
+	delta := metrics.Default.Snapshot()["apollo_scan_delta_rows_total"] - before
+	if r.Stats.DeltaRowsScanned == 0 || int64(delta) != r.Stats.DeltaRowsScanned {
+		t.Errorf("apollo_scan_delta_rows_total moved by %v, query scanned %d delta rows", delta, r.Stats.DeltaRowsScanned)
+	}
 }
 
 func TestExplainAnalyzeOutput(t *testing.T) {
