@@ -58,18 +58,18 @@ serve-smoke:
 scrub-smoke:
 	$(GO) test -run='^(TestScrubSmoke|TestScrubSweep)$$' -count=1 -v .
 
-# Crash-injection matrix: kill a scripted workload at randomized WAL byte
-# offsets and verify recovery lands on an exact committed prefix (zero
-# acknowledged loss under fsync=always), plus the multi-writer matrix where
-# concurrent transactional sessions must recover atomically (no torn
-# transactions, rollbacks never resurface), plus the bulk-load matrix where
-# kills land inside atomic row-group publishes (whole group or none, never
-# torn; acknowledged loads survive at fsync=always). `make crash-full` runs
-# the 64-point single-writer, 16-point multi-writer, and 24-point bulk-load
-# matrices. The degrade matrix kills the ENOSPC degrade→recover cycle at
-# randomized offsets (zero acked loss, no false acks across the round trip)
-# and proves fsync-failure fail-stop stays stopped until restart.
-CRASH_TESTS = TestCrashRecoveryMatrix|TestCrashMidCheckpoint|TestRecoveryRefusesMidLogCorruption|TestMultiWriterCrashMatrix|TestBulkLoadCrashMatrix|TestENOSPCRecoveryMatrix|TestFsyncPoisonFailStop
+# Crash-injection matrix: one table of workloads (crash_matrix_test.go), each
+# killed in a child process at WAL byte offsets and recovered under its own
+# oracle. script: the single-writer trickle script recovers an exact
+# committed prefix (zero acknowledged loss at fsync=always), plus one point
+# that tears the checkpoint-end record. bulk: db.Load kills inside atomic
+# row-group publishes recover whole groups or none. multi: concurrent
+# transactional sessions recover atomically (no torn transactions, rollbacks
+# never resurface). enospc: kills across the disk-full degrade->recover cycle
+# lose no acked write. poison: a failed fsync stays fail-stop until restart.
+# Per fsync policy: 8/8/4/4/0 points by default; `make crash-full` runs
+# 64/24/16/16/0.
+CRASH_TESTS = TestCrashMatrix|TestRecoveryRefusesMidLogCorruption
 
 crash:
 	$(GO) test -run='$(CRASH_TESTS)' -count=1 .

@@ -52,11 +52,6 @@ var (
 		"unreferenced blob files garbage-collected during recovery")
 )
 
-// TestHookAfterImage, when set, runs after the checkpoint image is durable
-// but before the checkpoint-end record is logged. The crash harness uses it
-// to kill the process mid-checkpoint.
-var TestHookAfterImage func()
-
 // WALDir returns the log directory under a database directory.
 func WALDir(dataDir string) string { return filepath.Join(dataDir, "wal") }
 
@@ -249,10 +244,6 @@ func WriteCheckpoint(dataDir string, w *wal.Writer, cat *catalog.Catalog, barrie
 	// supposed to replace.
 	if err := syncDir(dataDir); err != nil {
 		return 0, fmt.Errorf("persist: sync data dir after publishing checkpoint: %w", err)
-	}
-
-	if TestHookAfterImage != nil {
-		TestHookAfterImage()
 	}
 
 	if err := w.Append(&wal.Record{Type: wal.TCheckpointEnd, A: seq}); err != nil {

@@ -95,20 +95,6 @@ type FaultConfig struct {
 	ReadLatency time.Duration
 	// Seed makes the fault sequence reproducible; 0 seeds from the clock.
 	Seed int64
-
-	// Deterministic durability faults, counted per write that would reach
-	// the publish path (probabilistic rates above stay independent of them).
-	//
-	// NoSpaceAtWrite is the 1-based write index at which the disk becomes
-	// "full": that write and every later one fail with an error wrapping
-	// syscall.ENOSPC until the injector is cleared — modelling exhaustion
-	// that persists until space is freed. 0 disables.
-	NoSpaceAtWrite int64
-	// FailSyncAtWrite is the 1-based write index whose publish fsync fails
-	// with a synthetic I/O error. Per fsyncgate semantics the store treats
-	// it as a poisoning event (the backing's sync-fail hook fires). 0
-	// disables.
-	FailSyncAtWrite int64
 }
 
 // FaultInjector injects storage faults per FaultConfig. It is attached to a
@@ -121,7 +107,6 @@ type FaultInjector struct {
 	rng *rand.Rand
 
 	injected int64 // faults injected (errors + corruptions), under mu
-	writeSeq int64 // durable writes seen, for the deterministic faults, under mu
 }
 
 // NewFaultInjector builds an injector for the given configuration.
@@ -179,72 +164,9 @@ func (f *FaultInjector) beforeWrite() error {
 	return nil
 }
 
-// NoSpaceError is an injected disk-exhaustion failure on the blob write
-// path. It unwraps to syscall.ENOSPC so the degrade layer classifies it
-// exactly like a real full disk.
-type NoSpaceError struct{ Op string }
-
-func (e *NoSpaceError) Error() string {
-	return fmt.Sprintf("storage: %s: disk full: %v", e.Op, syscall.ENOSPC)
-}
-
-func (e *NoSpaceError) Unwrap() error { return syscall.ENOSPC }
-
 // IsNoSpace reports whether err was caused by disk exhaustion (real or
 // injected).
 func IsNoSpace(err error) bool { return errors.Is(err, syscall.ENOSPC) }
-
-// FsyncError is an injected durability-fsync failure on the blob publish
-// path. It is treated as poisoning (fail-stop), never retried.
-type FsyncError struct{ Op string }
-
-func (e *FsyncError) Error() string {
-	return fmt.Sprintf("storage: %s: fsync failed: %v", e.Op, syscall.EIO)
-}
-
-func (e *FsyncError) Unwrap() error { return syscall.EIO }
-
-// noteInjected counts one raised fault. Caller must NOT hold f.mu.
-func (f *FaultInjector) noteInjected() {
-	f.mu.Lock()
-	f.injected++
-	f.mu.Unlock()
-	mFaultsInjected.Inc()
-}
-
-// beforeDurable ticks the durable-write counter and returns the armed
-// deterministic fault for this write, if any.
-func (f *FaultInjector) beforeDurable() error {
-	if f.cfg.NoSpaceAtWrite == 0 && f.cfg.FailSyncAtWrite == 0 {
-		return nil
-	}
-	f.mu.Lock()
-	f.writeSeq++
-	seq := f.writeSeq
-	f.mu.Unlock()
-	if f.cfg.FailSyncAtWrite > 0 && seq == f.cfg.FailSyncAtWrite {
-		f.noteInjected()
-		return &FsyncError{Op: fmt.Sprintf("publish blob (write %d)", seq)}
-	}
-	if f.cfg.NoSpaceAtWrite > 0 && seq >= f.cfg.NoSpaceAtWrite {
-		f.noteInjected()
-		return &NoSpaceError{Op: fmt.Sprintf("write blob (write %d)", seq)}
-	}
-	return nil
-}
-
-// probeNoSpace reports whether the injector currently models a full disk —
-// i.e. the next durable write would fail — without consuming a write tick.
-// The DB's read-only auto-probe consults it so injected exhaustion is not
-// "recovered" by a probe that only touches the real filesystem.
-func (f *FaultInjector) probeNoSpace() bool {
-	if f.cfg.NoSpaceAtWrite == 0 {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writeSeq+1 >= f.cfg.NoSpaceAtWrite
-}
 
 // corruptRead possibly returns a bit-flipped copy of raw. The original slice
 // is never modified (it may be the at-rest buffer or shared with the cache).

@@ -223,13 +223,9 @@ func (s *Store) ScrubBlob(id BlobID) (ScrubOutcome, int64, error) {
 }
 
 // WriteProbe checks whether durable blob writes would currently succeed:
-// armed deterministic disk-full injection fails it, then (when a backing is
-// attached) a real scratch file is written and fsynced in the blob
-// directory.
+// when a backing is attached, a real scratch file is written and fsynced in
+// the blob directory.
 func (s *Store) WriteProbe() error {
-	if f := s.fault.Load(); f != nil && f.probeNoSpace() {
-		return &NoSpaceError{Op: "probe"}
-	}
 	b := s.backing.Load()
 	if b == nil {
 		return nil

@@ -67,58 +67,6 @@ func TestDirSyncFailurePropagatesAndPoisons(t *testing.T) {
 	}
 }
 
-func TestDeterministicNoSpaceInjection(t *testing.T) {
-	s, _ := newBackedStore(t)
-	s.SetFaultInjector(NewFaultInjector(FaultConfig{NoSpaceAtWrite: 3, Seed: 1}))
-
-	for i := 0; i < 2; i++ {
-		if _, err := s.Put([]byte("ok"), None); err != nil {
-			t.Fatalf("put %d before exhaustion: %v", i, err)
-		}
-	}
-	// Write 3 and everything after fail with ENOSPC.
-	for i := 0; i < 3; i++ {
-		_, err := s.Put([]byte("full"), None)
-		if !IsNoSpace(err) {
-			t.Fatalf("put after exhaustion: got %v, want ENOSPC", err)
-		}
-		var nse *NoSpaceError
-		if !errors.As(err, &nse) {
-			t.Fatalf("error %v is not a *NoSpaceError", err)
-		}
-	}
-	if err := s.WriteProbe(); !IsNoSpace(err) {
-		t.Fatalf("WriteProbe while injector full: got %v, want ENOSPC", err)
-	}
-	// Clearing the injector frees the "disk".
-	s.SetFaultInjector(nil)
-	if err := s.WriteProbe(); err != nil {
-		t.Fatalf("WriteProbe after clearing injector: %v", err)
-	}
-	if _, err := s.Put([]byte("again"), None); err != nil {
-		t.Fatalf("put after clearing injector: %v", err)
-	}
-}
-
-func TestDeterministicFsyncFailureInjectionPoisons(t *testing.T) {
-	s, b := newBackedStore(t)
-	var hookErr atomic.Pointer[error]
-	b.SetSyncFailHook(func(err error) { hookErr.Store(&err) })
-	s.SetFaultInjector(NewFaultInjector(FaultConfig{FailSyncAtWrite: 2, Seed: 1}))
-
-	if _, err := s.Put([]byte("one"), None); err != nil {
-		t.Fatalf("put 1: %v", err)
-	}
-	_, err := s.Put([]byte("two"), None)
-	var fe *FsyncError
-	if !errors.As(err, &fe) {
-		t.Fatalf("put 2: got %v, want *FsyncError", err)
-	}
-	if hookErr.Load() == nil {
-		t.Fatal("injected fsync failure did not fire the sync-fail hook")
-	}
-}
-
 func TestScrubRepairsBackingFromMemory(t *testing.T) {
 	s, b := newBackedStore(t)
 	payload := bytes.Repeat([]byte("segment-bytes-"), 64)

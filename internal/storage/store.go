@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"compress/flate"
 	"container/list"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -177,21 +176,6 @@ func (s *Store) Put(data []byte, comp Compression) (BlobID, error) {
 			s.stats.writeRetries.Add(1)
 			mWriteRetries.Inc()
 			time.Sleep(policy.backoff(attempt))
-		}
-	}
-	if f := s.fault.Load(); f != nil {
-		if err := f.beforeDurable(); err != nil {
-			// Deterministic durability faults are never retried: injected
-			// ENOSPC persists until cleared (the caller degrades to
-			// read-only), and an injected fsync failure poisons through the
-			// backing's fail hook exactly like a real one.
-			var fe *FsyncError
-			if errors.As(err, &fe) {
-				if b := s.backing.Load(); b != nil {
-					b.notifySyncFail(err)
-				}
-			}
-			return 0, err
 		}
 	}
 	sum := crc32.ChecksumIEEE(data)

@@ -89,7 +89,7 @@ type Options struct {
 	// CrashAt is a crash-injection test hook: once the writer's cumulative
 	// byte count (headers included) would pass CrashAt, it writes only the
 	// bytes up to that offset, flushes them, and kills the process. Zero
-	// disables it. See internal/wal/crashtest.
+	// disables it. See TestCrashMatrix in the root package.
 	CrashAt int64
 	// OnPoison, if set, is invoked exactly once when the writer poisons
 	// itself after a failed fsync (fail-stop; see ErrPoisoned). It runs on
