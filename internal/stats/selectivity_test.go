@@ -239,7 +239,7 @@ func TestFracEQAndDensity(t *testing.T) {
 		}
 		vals = append(vals, sqltypes.NewInt(v))
 	}
-	heavy := histogramFromSorted(vals, 16, 1000)
+	heavy := histogramFromSorted(vals, 16)
 	if f := heavy.FracEQ(sqltypes.NewInt(7)); math.Abs(f-0.5) > 0.1 {
 		t.Errorf("FracEQ(heavy 7) = %v, want ~0.5", f)
 	}

@@ -146,7 +146,7 @@ func CollectWith(t *table.Table, o CollectOptions) *TableStats {
 		}
 		if len(vals) > 0 {
 			sort.Slice(vals, func(a, b int) bool { return sqltypes.Compare(vals[a], vals[b]) < 0 })
-			cs.Hist = histogramFromSorted(vals, o.Buckets, ts.Rows)
+			cs.Hist = histogramFromSorted(vals, o.Buckets)
 			cs.Sketch = sketch
 		}
 
@@ -292,32 +292,13 @@ func min(a, b int) int {
 type Histogram struct {
 	Bounds []sqltypes.Value // ascending upper bounds, one per bucket
 	Lo     sqltypes.Value   // lowest sampled value (lower edge of bucket 0)
-	Depth  float64          // estimated rows per bucket
-	Rows   int              // table rows at build time
-}
-
-// BuildHistogram samples the table via bookmarks and builds an equi-depth
-// histogram with the given bucket count over column col.
-func BuildHistogram(t *table.Table, col, buckets, sampleSize int, rng *rand.Rand) *Histogram {
-	rows := t.Sample(sampleSize, rng)
-	vals := make([]sqltypes.Value, 0, len(rows))
-	for _, r := range rows {
-		if !r[col].Null {
-			vals = append(vals, r[col])
-		}
-	}
-	if len(vals) == 0 || buckets < 1 {
-		return &Histogram{Rows: t.Rows()}
-	}
-	sort.Slice(vals, func(a, b int) bool { return sqltypes.Compare(vals[a], vals[b]) < 0 })
-	return histogramFromSorted(vals, buckets, t.Rows())
 }
 
 // histogramFromSorted builds an equi-depth histogram from an ascending value
 // slice. Heavy values naturally occupy several consecutive buckets, which
 // FracEQ exploits for skewed (zipf-like) columns.
-func histogramFromSorted(vals []sqltypes.Value, buckets, tableRows int) *Histogram {
-	h := &Histogram{Rows: tableRows, Lo: vals[0]}
+func histogramFromSorted(vals []sqltypes.Value, buckets int) *Histogram {
+	h := &Histogram{Lo: vals[0]}
 	per := len(vals) / buckets
 	if per < 1 {
 		per = 1
@@ -328,19 +309,7 @@ func histogramFromSorted(vals []sqltypes.Value, buckets, tableRows int) *Histogr
 	if len(h.Bounds) == 0 || sqltypes.Compare(h.Bounds[len(h.Bounds)-1], vals[len(vals)-1]) != 0 {
 		h.Bounds = append(h.Bounds, vals[len(vals)-1])
 	}
-	h.Depth = float64(h.Rows) / float64(len(h.Bounds))
 	return h
-}
-
-// EstimateLE estimates how many rows have column value <= v.
-func (h *Histogram) EstimateLE(v sqltypes.Value) float64 {
-	if len(h.Bounds) == 0 {
-		return 0
-	}
-	i := sort.Search(len(h.Bounds), func(j int) bool {
-		return sqltypes.Compare(h.Bounds[j], v) >= 0
-	})
-	return float64(i) * h.Depth
 }
 
 // FracLE estimates the fraction of non-null values <= v, interpolating

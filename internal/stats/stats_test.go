@@ -112,8 +112,9 @@ func TestRangeSelectivityEmptyTable(t *testing.T) {
 
 func TestHistogram(t *testing.T) {
 	tb, rows := buildTable(t, 5000)
-	h := BuildHistogram(tb, 0, 32, 2000, rand.New(rand.NewSource(3)))
-	if len(h.Bounds) == 0 {
+	st := CollectWith(tb, CollectOptions{SampleSize: 2000, Buckets: 32, Seed: 3})
+	h := st.Cols[0].Hist
+	if h == nil || len(h.Bounds) == 0 {
 		t.Fatal("empty histogram")
 	}
 	// Estimate rows with k <= median; truth is ~half.
@@ -124,25 +125,37 @@ func TestHistogram(t *testing.T) {
 			exact++
 		}
 	}
-	est := h.EstimateLE(mid)
+	est := h.FracLE(mid) * float64(st.Rows)
 	errFrac := (est - float64(exact)) / float64(exact)
 	if errFrac < -0.15 || errFrac > 0.15 {
 		t.Fatalf("estimate %f vs exact %d (err %.2f)", est, exact, errFrac)
 	}
 	// Below-min and above-max estimates.
-	if h.EstimateLE(sqltypes.NewInt(0)) != 0 {
-		t.Fatal("below-min estimate should be 0")
+	if f := h.FracLE(sqltypes.NewInt(0)); f != 0 {
+		t.Fatalf("below-min fraction = %f, want 0", f)
 	}
-	if top := h.EstimateLE(sqltypes.NewInt(1 << 30)); top < float64(h.Rows)*0.9 {
-		t.Fatalf("above-max estimate = %f of %d", top, h.Rows)
+	if f := h.FracLE(sqltypes.NewInt(1 << 30)); f != 1 {
+		t.Fatalf("above-max fraction = %f, want 1", f)
 	}
 }
 
+// A single-valued column yields buckets that all share one bound.
 func TestHistogramDegenerate(t *testing.T) {
 	schema := sqltypes.NewSchema(sqltypes.Column{Name: "k", Typ: sqltypes.Int64})
 	tb := table.New(storage.NewStore(0), "t", schema, table.DefaultOptions())
-	h := BuildHistogram(tb, 0, 8, 100, rand.New(rand.NewSource(1)))
-	if h.EstimateLE(sqltypes.NewInt(5)) != 0 {
-		t.Fatal("empty-table histogram should estimate 0")
+	for i := 0; i < 100; i++ {
+		if _, err := tb.Insert(sqltypes.Row{sqltypes.NewInt(5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := CollectWith(tb, CollectOptions{Buckets: 8}).Cols[0].Hist
+	if f := h.FracLE(sqltypes.NewInt(4)); f != 0 {
+		t.Fatalf("FracLE below the value = %f, want 0", f)
+	}
+	if f := h.FracLE(sqltypes.NewInt(5)); f != 1 {
+		t.Fatalf("FracLE at the value = %f, want 1", f)
+	}
+	if f := h.FracEQ(sqltypes.NewInt(5)); f < 0.9 {
+		t.Fatalf("FracEQ of the only value = %f", f)
 	}
 }
