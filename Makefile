@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench-check clean
 
@@ -16,9 +17,12 @@ vet:
 # Durability-layer errcheck: unchecked Sync()/Close() results in the WAL,
 # storage, persist, and scrub packages are build failures — a silently
 # ignored fsync error is exactly how acknowledged data gets lost. Deliberate
-# discards carry a //nolint:synccheck annotation at the call site.
+# discards carry a //nolint:synccheck annotation at the call site. Every Go
+# file, bench/ included, must be gofmt-clean; the check lists offenders and
+# rewrites nothing.
 lint:
 	$(GO) run ./internal/tools/synccheck -root .
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l: files need formatting:"; echo "$$out"; exit 1; fi
 
 # Race-detector run over the packages with concurrency-sensitive code
 # (parallel scan, exchange operators, tuple mover, storage fault injection,

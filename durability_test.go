@@ -49,7 +49,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := tb.Reorganize(); err != nil {
 		t.Fatal(err)
 	}
-	db.MustExec("DELETE FROM r WHERE id = 7")  // compressed row
+	db.MustExec("DELETE FROM r WHERE id = 7") // compressed row
 	db.MustExec("INSERT INTO r VALUES (21, 'reg-0', 21.5)")
 	db.MustExec("DELETE FROM r WHERE id = 21") // delta row
 	want := tableIDs(t, db, "r")

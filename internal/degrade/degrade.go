@@ -106,7 +106,7 @@ type State struct {
 	recov    int64
 	probe    func() error
 	interval time.Duration
-	probing  bool          // a probe goroutine is running
+	probing  bool // a probe goroutine is running
 	closed   bool
 	stop     chan struct{} // closed by Close to stop any probe goroutine
 }

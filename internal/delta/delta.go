@@ -1,15 +1,21 @@
 // Package delta implements the row-organized side of an updatable clustered
-// columnstore (§4): delta stores — B-tree row stores that absorb trickle
-// inserts until they are large enough to compress — and the delete bitmap
-// that marks rows of compressed row groups as logically deleted. A delta
-// store being drained by the tuple mover keeps accepting deletes through a
-// delete buffer that is applied to the new compressed row group afterwards.
+// columnstore (§4): delta stores that absorb trickle inserts until they are
+// large enough to compress, and the delete bitmap that marks rows of
+// compressed row groups as logically deleted. A delta store being drained by
+// the tuple mover keeps accepting deletes through a delete buffer that is
+// applied to the new compressed row group afterwards.
+//
+// The paper's delta stores are B-trees. Here tuple keys come from a
+// per-store counter, so inserts only ever append at the right edge; a store
+// is two parallel slices — ascending keys and decoded rows — looked up by
+// binary search, with removed slots compacted away once they outnumber the
+// live rows.
 package delta
 
 import (
 	"fmt"
+	"slices"
 
-	"apollo/internal/btree"
 	"apollo/internal/sqltypes"
 )
 
@@ -45,12 +51,23 @@ type BufferedDelete struct {
 	End uint64
 }
 
+// compactMinDead is the fewest removed slots a store compacts away; below it
+// a compaction costs more than walking the dead slots.
+const compactMinDead = 64
+
 // Store is one delta store: rows keyed by a monotonically increasing tuple
 // key. It is not internally synchronized; the table layer serializes access.
+//
+// Rows are owned by the store and shared read-only with snapshots and scans:
+// nothing may modify a row after inserting it or after reading it back.
 type Store struct {
-	ID      int
-	Schema  *sqltypes.Schema
-	tree    *btree.Tree
+	ID int
+
+	// keys ascend; rows[i] is the row at keys[i], nil once removed. live
+	// counts the non-nil slots.
+	keys    []uint64
+	rows    []sqltypes.Row
+	live    int
 	nextKey uint64
 	state   State
 
@@ -65,8 +82,8 @@ type Store struct {
 }
 
 // NewStore creates an empty, open delta store.
-func NewStore(id int, schema *sqltypes.Schema) *Store {
-	return &Store{ID: id, Schema: schema, tree: btree.New(), state: Open}
+func NewStore(id int) *Store {
+	return &Store{ID: id, state: Open}
 }
 
 // State returns the store's lifecycle state.
@@ -80,7 +97,8 @@ func (s *Store) Close() {
 }
 
 // BeginMove transitions Closed -> Moving and returns the rows to compress in
-// ascending key order alongside their keys.
+// ascending key order alongside their keys. The slices are copies: deletes
+// that land while the mover compresses may compact the store's own.
 func (s *Store) BeginMove() (keys []uint64, rows []sqltypes.Row, err error) {
 	if s.state != Closed {
 		return nil, nil, fmt.Errorf("delta: BeginMove on %v store", s.state)
@@ -93,28 +111,18 @@ func (s *Store) BeginMove() (keys []uint64, rows []sqltypes.Row, err error) {
 	}
 	s.state = Moving
 	s.deleteBuffer = s.deleteBuffer[:0]
-	keys = make([]uint64, 0, s.tree.Len())
-	rows = make([]sqltypes.Row, 0, s.tree.Len())
-	s.tree.AscendAll(func(k uint64, v []byte) bool {
-		row, _, derr := sqltypes.DecodeRow(v, s.Schema)
-		if derr != nil {
-			err = derr
-			return false
-		}
+	keys = make([]uint64, 0, s.live)
+	rows = make([]sqltypes.Row, 0, s.live)
+	s.Scan(func(k uint64, row sqltypes.Row) {
 		keys = append(keys, k)
 		rows = append(rows, row)
-		return true
 	})
-	if err != nil {
-		s.state = Closed // leave the store retriable
-		return nil, nil, fmt.Errorf("delta: decode during move: %w", err)
-	}
 	return keys, rows, nil
 }
 
 // AbortMove transitions Moving -> Closed after a failed compression so the
 // tuple mover can retry the store later. Deletes that arrived while Moving
-// were already applied to the tree, so a retry's BeginMove sees the current
+// were already applied to the store, so a retry's BeginMove sees the current
 // row set; the delete buffer is discarded (BeginMove resets it anyway).
 func (s *Store) AbortMove() {
 	if s.state == Moving {
@@ -133,71 +141,80 @@ func (s *Store) DrainDeleteBuffer() []BufferedDelete {
 // PeekDeleteBuffer returns the buffered deletes without draining them.
 func (s *Store) PeekDeleteBuffer() []BufferedDelete { return s.deleteBuffer }
 
-// Insert appends a row and returns its key. Only Open stores accept inserts.
-func (s *Store) Insert(row sqltypes.Row) (uint64, error) {
+// InsertAt appends row and returns its key. Only Open stores accept inserts.
+// begin is the row's begin field: zero for a settled autocommit insert (no
+// concurrent snapshots), a commit timestamp for an autocommit insert that
+// concurrent snapshots must not see, or a TxnBit-tagged transaction id for a
+// provisional insert. The store keeps row; the caller must not modify it.
+func (s *Store) InsertAt(row sqltypes.Row, begin uint64) (uint64, error) {
 	if s.state != Open {
 		return 0, fmt.Errorf("delta: insert into %v store", s.state)
 	}
 	key := s.nextKey
 	s.nextKey++
-	s.tree.Put(key, sqltypes.EncodeRow(nil, s.Schema, row))
+	s.keys = append(s.keys, key)
+	s.rows = append(s.rows, row)
+	s.live++
+	if begin != 0 {
+		s.setVersion(key, RowVersion{Begin: begin})
+	}
 	return key, nil
 }
 
-// Delete physically removes the row with the given key, reporting whether it
-// existed. This is the settled path (recovery replay and version-free
-// fast paths); snapshot-respecting deletes go through MarkDeleted. Deletes
-// against a Moving store are also recorded in the delete buffer so the tuple
-// mover can replay them onto the compressed row group.
-func (s *Store) Delete(key uint64) bool {
-	ok := s.tree.Delete(key)
-	if ok {
-		delete(s.vers, key)
-		if s.state == Moving {
-			s.deleteBuffer = append(s.deleteBuffer, BufferedDelete{Key: key})
-		}
+// find returns the slot holding key, or -1 when the key is absent or removed.
+func (s *Store) find(key uint64) int {
+	i, ok := slices.BinarySearch(s.keys, key)
+	if !ok || s.rows[i] == nil {
+		return -1
 	}
-	return ok
+	return i
 }
 
-// Get returns the row with the given key.
+// remove physically drops the row at key, if present, with its version
+// entry. Once removed slots outnumber the live rows (and there are at least
+// compactMinDead of them) both slices are compacted in place, so a store
+// cycling a few live rows through many updates does not accumulate dead
+// slots for every scan to walk.
+func (s *Store) remove(key uint64) {
+	i := s.find(key)
+	if i < 0 {
+		return
+	}
+	s.rows[i] = nil
+	s.live--
+	delete(s.vers, key)
+	if dead := len(s.rows) - s.live; dead >= compactMinDead && dead > s.live {
+		n := 0
+		for j, row := range s.rows {
+			if row != nil {
+				s.keys[n], s.rows[n] = s.keys[j], row
+				n++
+			}
+		}
+		clear(s.rows[n:])
+		s.keys, s.rows = s.keys[:n], s.rows[:n]
+	}
+}
+
+// Get returns the row with the given key. The row is the store's own.
 func (s *Store) Get(key uint64) (sqltypes.Row, bool) {
-	v, ok := s.tree.Get(key)
-	if !ok {
+	i := s.find(key)
+	if i < 0 {
 		return nil, false
 	}
-	row, _, err := sqltypes.DecodeRow(v, s.Schema)
-	if err != nil {
-		return nil, false
-	}
-	return row, true
+	return s.rows[i], true
 }
 
-// Scan calls fn for each (key, row) in ascending key order; fn returning
-// false stops the scan.
-func (s *Store) Scan(fn func(key uint64, row sqltypes.Row) bool) error {
-	var err error
-	s.tree.AscendAll(func(k uint64, v []byte) bool {
-		row, _, derr := sqltypes.DecodeRow(v, s.Schema)
-		if derr != nil {
-			err = derr
-			return false
+// Scan calls fn for each (key, row) in ascending key order, ignoring row
+// versions.
+func (s *Store) Scan(fn func(key uint64, row sqltypes.Row)) {
+	for i, row := range s.rows {
+		if row != nil {
+			fn(s.keys[i], row)
 		}
-		return fn(k, row)
-	})
-	return err
+	}
 }
 
-// Rows returns the number of live rows.
-func (s *Store) Rows() int { return s.tree.Len() }
-
-// MemBytes roughly estimates the store's in-memory footprint.
-func (s *Store) MemBytes() int {
-	// Encoded rows dominate; keys add 8 bytes each.
-	total := 0
-	s.tree.AscendAll(func(_ uint64, v []byte) bool {
-		total += len(v) + 8
-		return true
-	})
-	return total
-}
+// Rows returns the number of rows physically present (tombstoned and
+// provisional rows included).
+func (s *Store) Rows() int { return s.live }

@@ -102,22 +102,6 @@ func (s *Store) setVersion(key uint64, v RowVersion) {
 	s.vers[key] = v
 }
 
-// InsertEncodedAt appends an already-encoded row whose begin field is begin:
-// zero for a settled autocommit insert (no concurrent snapshots), a commit
-// timestamp for an autocommit insert that concurrent snapshots must not see,
-// or a TxnBit-tagged transaction id for a provisional insert. The slice is
-// retained; callers must not reuse it.
-func (s *Store) InsertEncodedAt(encoded []byte, begin uint64) (uint64, error) {
-	key, err := s.InsertEncoded(encoded)
-	if err != nil {
-		return 0, err
-	}
-	if begin != 0 {
-		s.setVersion(key, RowVersion{Begin: begin})
-	}
-	return key, nil
-}
-
 // MarkDeleted deletes the row at key on behalf of self (a TxnBit-tagged
 // transaction id, or zero for autocommit) reading at snapshot asOf. end is
 // what the row's end field becomes: zero physically removes the row at once
@@ -130,15 +114,14 @@ func (s *Store) MarkDeleted(key, end, self, asOf uint64) MarkStatus {
 	if st := s.CheckDelete(key, self, asOf); st != MarkOK {
 		return st
 	}
-	v := s.vers[key]
 	if end == 0 {
-		s.tree.Delete(key)
-		delete(s.vers, key)
+		s.remove(key)
 		if s.state == Moving {
 			s.deleteBuffer = append(s.deleteBuffer, BufferedDelete{Key: key})
 		}
 		return MarkOK
 	}
+	v := s.vers[key]
 	v.End = end
 	s.setVersion(key, v)
 	if s.state == Moving {
@@ -152,7 +135,7 @@ func (s *Store) MarkDeleted(key, end, self, asOf uint64) MarkStatus {
 // under the table lock, so a WAL append failure never leaves an applied but
 // unlogged delete and a conflict never leaves a logged but unapplied one.
 func (s *Store) CheckDelete(key, self, asOf uint64) MarkStatus {
-	if _, ok := s.tree.Get(key); !ok {
+	if s.find(key) < 0 {
 		return MarkNotFound
 	}
 	v := s.vers[key]
@@ -207,8 +190,7 @@ func (s *Store) AbortInsert(key uint64) {
 	if !ok || v.Begin&TxnBit == 0 {
 		return
 	}
-	s.tree.Delete(key)
-	delete(s.vers, key)
+	s.remove(key)
 }
 
 // AbortDelete clears a provisional delete, resurrecting the row for its
@@ -248,25 +230,17 @@ func (s *Store) resolveBuffered(key, newEnd uint64, drop bool) {
 // Purge physically collects version state that no snapshot at or above
 // horizon can distinguish: committed tombstones at or below horizon lose
 // their rows, committed-live entries at or below horizon lose their map
-// entries. Provisional state and anything above horizon is kept. Returns the
-// number of rows removed.
-func (s *Store) Purge(horizon uint64) int {
-	if len(s.vers) == 0 {
-		return 0
-	}
-	removed := 0
+// entries. Provisional state and anything above horizon is kept.
+func (s *Store) Purge(horizon uint64) {
 	for key, v := range s.vers {
 		if v.End != 0 && v.End&TxnBit == 0 && v.End <= horizon {
-			s.tree.Delete(key)
-			delete(s.vers, key)
-			removed++
+			s.remove(key)
 			continue
 		}
 		if v.settledBelow(horizon) {
 			delete(s.vers, key)
 		}
 	}
-	return removed
 }
 
 // Unsettled reports whether the store still carries version state — rows a
@@ -277,30 +251,23 @@ func (s *Store) Unsettled() bool { return len(s.vers) > 0 }
 
 // ScanVisible calls fn for each row visible to a snapshot at asOf taken by
 // self, in ascending key order.
-func (s *Store) ScanVisible(asOf, self uint64, fn func(key uint64, row sqltypes.Row) bool) error {
-	var err error
-	s.tree.AscendAll(func(k uint64, enc []byte) bool {
+func (s *Store) ScanVisible(asOf, self uint64, fn func(key uint64, row sqltypes.Row)) {
+	for i, row := range s.rows {
+		if row == nil {
+			continue
+		}
 		if len(s.vers) > 0 {
-			if v, ok := s.vers[k]; ok && !v.VisibleAt(asOf, self) {
-				return true
+			if v, ok := s.vers[s.keys[i]]; ok && !v.VisibleAt(asOf, self) {
+				continue
 			}
 		}
-		row, _, derr := sqltypes.DecodeRow(enc, s.Schema)
-		if derr != nil {
-			err = derr
-			return false
-		}
-		return fn(k, row)
-	})
-	return err
+		fn(s.keys[i], row)
+	}
 }
 
 // LiveRows counts rows visible to a snapshot at asOf taken by self.
 func (s *Store) LiveRows(asOf, self uint64) int {
-	if len(s.vers) == 0 {
-		return s.tree.Len()
-	}
-	n := s.tree.Len()
+	n := s.live
 	for _, v := range s.vers {
 		if !v.VisibleAt(asOf, self) {
 			n--
@@ -311,16 +278,11 @@ func (s *Store) LiveRows(asOf, self uint64) int {
 
 // DumpVersions iterates the store's version entries (checkpoint image
 // writer). Order is unspecified.
-func (s *Store) DumpVersions(fn func(key uint64, v RowVersion) bool) {
+func (s *Store) DumpVersions(fn func(key uint64, v RowVersion)) {
 	for k, v := range s.vers {
-		if !fn(k, v) {
-			return
-		}
+		fn(k, v)
 	}
 }
-
-// VersionCount returns the number of version entries.
-func (s *Store) VersionCount() int { return len(s.vers) }
 
 // RestoreVersion reinstates a version entry (image restore path).
 func (s *Store) RestoreVersion(key uint64, v RowVersion) {
@@ -330,9 +292,6 @@ func (s *Store) RestoreVersion(key uint64, v RowVersion) {
 	}
 	s.setVersion(key, v)
 }
-
-// ClearVersion drops a version entry (recovery rollback path).
-func (s *Store) ClearVersion(key uint64) { delete(s.vers, key) }
 
 // --- Delete-bitmap versioning ---------------------------------------------
 

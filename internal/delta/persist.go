@@ -1,43 +1,39 @@
 package delta
 
 import (
-	"fmt"
+	"slices"
 
 	"apollo/internal/bits"
+	"apollo/internal/sqltypes"
 )
 
 // Durability hooks. The WAL logs delta mutations as (store id, tuple key,
-// encoded row); recovery replays them through the Restore* methods below,
-// which bypass lifecycle checks — replay reconstructs history, including
-// inserts into stores that were later closed.
+// encoded row); recovery decodes each row once and replays it through the
+// Restore* methods below, which bypass lifecycle checks — replay
+// reconstructs history, including inserts into stores that were later
+// closed.
 
-// InsertEncoded appends an already-encoded row, returning its key. The write
-// path uses it so the same encoded bytes serve both the tree and the WAL
-// record without encoding twice. The slice is retained; callers must not
-// reuse it.
-func (s *Store) InsertEncoded(encoded []byte) (uint64, error) {
-	if s.state != Open {
-		return 0, fmt.Errorf("delta: insert into %v store", s.state)
+// RestoreRow puts row at key, bumping the key counter past it. Idempotent
+// under re-replay: a key already present is overwritten. The store keeps row.
+func (s *Store) RestoreRow(key uint64, row sqltypes.Row) {
+	i, ok := slices.BinarySearch(s.keys, key)
+	if ok {
+		if s.rows[i] == nil {
+			s.live++
+		}
+		s.rows[i] = row
+	} else {
+		s.keys = slices.Insert(s.keys, i, key)
+		s.rows = slices.Insert(s.rows, i, row)
+		s.live++
 	}
-	key := s.nextKey
-	s.nextKey++
-	s.tree.Put(key, encoded)
-	return key, nil
-}
-
-// RestoreRow inserts an encoded row at a specific key, bumping the key
-// counter past it. Idempotent under re-replay (Put overwrites).
-func (s *Store) RestoreRow(key uint64, encoded []byte) {
-	s.tree.Put(key, encoded)
 	if key >= s.nextKey {
 		s.nextKey = key + 1
 	}
 }
 
 // RestoreDelete removes a key without delete-buffer side effects.
-func (s *Store) RestoreDelete(key uint64) bool {
-	return s.tree.Delete(key)
-}
+func (s *Store) RestoreDelete(key uint64) { s.remove(key) }
 
 // SetState forces the lifecycle state (restore path).
 func (s *Store) SetState(st State) { s.state = st }
@@ -52,13 +48,6 @@ func (s *Store) SetNextKey(k uint64) {
 	if k > s.nextKey {
 		s.nextKey = k
 	}
-}
-
-// DumpRaw iterates the store's encoded rows in ascending key order without
-// decoding (checkpoint image writer). The byte slices are the tree's own;
-// do not modify or retain them.
-func (s *Store) DumpRaw(fn func(key uint64, encoded []byte) bool) {
-	s.tree.AscendAll(fn)
 }
 
 // Dump returns each group's delete-bitmap words, trailing zero words

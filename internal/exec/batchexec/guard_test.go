@@ -17,9 +17,9 @@ type panicOp struct {
 	calls int
 }
 
-func (p *panicOp) Schema() *sqltypes.Schema      { return p.sch }
-func (p *panicOp) Open(context.Context) error    { return nil }
-func (p *panicOp) Close() error                  { return nil }
+func (p *panicOp) Schema() *sqltypes.Schema   { return p.sch }
+func (p *panicOp) Open(context.Context) error { return nil }
+func (p *panicOp) Close() error               { return nil }
 func (p *panicOp) Next() (*vector.Batch, error) {
 	p.calls++
 	if p.calls > 1 {

@@ -24,8 +24,8 @@ func testSchema() *sqltypes.Schema {
 
 // fakeSink records what the loader handed it.
 type fakeSink struct {
-	direct  [][]sqltypes.Row
-	delta   [][]sqltypes.Row
+	direct   [][]sqltypes.Row
+	delta    [][]sqltypes.Row
 	failures int // fail the first N calls with a non-transient error
 }
 

@@ -6,8 +6,9 @@ import (
 	"math"
 )
 
-// Row codec: a compact schema-dependent binary encoding used by delta stores,
-// spill files, and the row-store baseline's pages.
+// Row codec: a compact schema-dependent binary encoding used by the WAL's
+// delta-insert records, checkpoint images of delta stores, and the bulk
+// loader's length-prefixed binary input.
 //
 // Layout per row:
 //
@@ -52,18 +53,11 @@ func EncodeRow(dst []byte, schema *Schema, row Row) []byte {
 // DecodeRow decodes one row from buf into a freshly allocated Row, returning
 // the row and the number of bytes consumed.
 func DecodeRow(buf []byte, schema *Schema) (Row, int, error) {
-	row := make(Row, len(schema.Cols))
-	n, err := DecodeRowInto(buf, schema, row)
-	return row, n, err
-}
-
-// DecodeRowInto decodes one row from buf into row (len must equal the schema
-// width) and returns the number of bytes consumed.
-func DecodeRowInto(buf []byte, schema *Schema, row Row) (int, error) {
 	ncols := len(schema.Cols)
+	row := make(Row, ncols)
 	nullBytes := (ncols + 7) / 8
 	if len(buf) < nullBytes {
-		return 0, fmt.Errorf("sqltypes: row truncated in null bitmap")
+		return nil, 0, fmt.Errorf("sqltypes: row truncated in null bitmap")
 	}
 	nulls := buf[:nullBytes]
 	pos := nullBytes
@@ -76,38 +70,38 @@ func DecodeRowInto(buf []byte, schema *Schema, row Row) (int, error) {
 		case Int64, Date:
 			v, n := binary.Varint(buf[pos:])
 			if n <= 0 {
-				return 0, fmt.Errorf("sqltypes: bad varint in column %d", i)
+				return nil, 0, fmt.Errorf("sqltypes: bad varint in column %d", i)
 			}
 			pos += n
 			row[i] = Value{Typ: col.Typ, I: v}
 		case Bool:
 			if pos >= len(buf) {
-				return 0, fmt.Errorf("sqltypes: row truncated in column %d", i)
+				return nil, 0, fmt.Errorf("sqltypes: row truncated in column %d", i)
 			}
 			row[i] = Value{Typ: Bool, I: int64(buf[pos] & 1)}
 			pos++
 		case Float64:
 			if pos+8 > len(buf) {
-				return 0, fmt.Errorf("sqltypes: row truncated in column %d", i)
+				return nil, 0, fmt.Errorf("sqltypes: row truncated in column %d", i)
 			}
 			row[i] = Value{Typ: Float64, F: math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))}
 			pos += 8
 		case String:
 			l, n := binary.Uvarint(buf[pos:])
 			if n <= 0 {
-				return 0, fmt.Errorf("sqltypes: bad string length in column %d", i)
+				return nil, 0, fmt.Errorf("sqltypes: bad string length in column %d", i)
 			}
 			pos += n
 			// Compare in uint64: a hostile length can overflow int and slip
 			// past a pos+int(l) check as a negative slice bound.
 			if l > uint64(len(buf)-pos) {
-				return 0, fmt.Errorf("sqltypes: row truncated in column %d", i)
+				return nil, 0, fmt.Errorf("sqltypes: row truncated in column %d", i)
 			}
 			row[i] = Value{Typ: String, S: string(buf[pos : pos+int(l)])}
 			pos += int(l)
 		default:
-			return 0, fmt.Errorf("sqltypes: cannot decode type %v", col.Typ)
+			return nil, 0, fmt.Errorf("sqltypes: cannot decode type %v", col.Typ)
 		}
 	}
-	return pos, nil
+	return row, pos, nil
 }

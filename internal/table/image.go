@@ -8,11 +8,13 @@ import (
 	"apollo/internal/colstore"
 	"apollo/internal/delta"
 	"apollo/internal/encoding"
+	"apollo/internal/sqltypes"
 )
 
 // Checkpoint image of one table's state. The image captures everything the
-// WAL would otherwise have to replay: delta-store contents (encoded rows),
-// the delete bitmap, the row-group directory, and the primary dictionaries.
+// WAL would otherwise have to replay: delta-store contents (rows encoded with
+// the WAL's row codec), the delete bitmap, the row-group directory, and the
+// primary dictionaries.
 // Segment payload blobs are NOT in the image — they live as blob files in
 // the store's disk backing and the directory references them by id.
 
@@ -33,31 +35,24 @@ func (t *Table) MarshalState() []byte {
 	// Delta stores: the open store first, then closed and moving (moving
 	// stores image as CLOSED — their in-flight build is not durable until
 	// its publish record is, and recovery re-moves them).
-	stores := make([]*delta.Store, 0, 1+len(t.closed)+len(t.moving))
-	states := make([]byte, 0, cap(stores))
-	stores = append(stores, t.open)
-	states = append(states, imgStateOpen)
-	for _, s := range t.closed {
-		stores = append(stores, s)
-		states = append(states, imgStateClosed)
-	}
-	for _, s := range t.moving {
-		stores = append(stores, s)
-		states = append(states, imgStateClosed)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(stores)))
-	for i, s := range stores {
+	dst = binary.AppendUvarint(dst, uint64(1+len(t.closed)+len(t.moving)))
+	var enc []byte // one row's encoding, reused across rows
+	t.eachDeltaLocked(func(s *delta.Store) {
+		state := imgStateClosed
+		if s == t.open {
+			state = imgStateOpen
+		}
 		dst = binary.AppendUvarint(dst, uint64(s.ID))
-		dst = append(dst, states[i])
+		dst = append(dst, state)
 		dst = binary.AppendUvarint(dst, s.NextKey())
 		dst = binary.AppendUvarint(dst, uint64(s.Rows()))
-		s.DumpRaw(func(key uint64, enc []byte) bool {
+		s.Scan(func(key uint64, row sqltypes.Row) {
 			dst = binary.AppendUvarint(dst, key)
+			enc = sqltypes.EncodeRow(enc[:0], t.Schema, row)
 			dst = binary.AppendUvarint(dst, uint64(len(enc)))
 			dst = append(dst, enc...)
-			return true
 		})
-	}
+	})
 
 	// Delete bitmap, group ids sorted for a deterministic image.
 	dump := t.deletes.Dump()
@@ -106,12 +101,11 @@ func (t *Table) MarshalState() []byte {
 		v       delta.RowVersion
 	}
 	var vers []verEnt
-	for _, s := range stores {
-		s.DumpVersions(func(key uint64, v delta.RowVersion) bool {
+	t.eachDeltaLocked(func(s *delta.Store) {
+		s.DumpVersions(func(key uint64, v delta.RowVersion) {
 			vers = append(vers, verEnt{storeID: s.ID, key: key, v: v})
-			return true
 		})
-	}
+	})
 	sort.Slice(vers, func(i, j int) bool {
 		if vers[i].storeID != vers[j].storeID {
 			return vers[i].storeID < vers[j].storeID
@@ -194,7 +188,7 @@ func (t *Table) RestoreState(buf []byte) error {
 		if err != nil {
 			return err
 		}
-		s := delta.NewStore(int(id), t.Schema)
+		s := delta.NewStore(int(id))
 		for j := uint64(0); j < nrows; j++ {
 			key, err := uv()
 			if err != nil {
@@ -207,7 +201,11 @@ func (t *Table) RestoreState(buf []byte) error {
 			if l > uint64(len(buf)-pos) {
 				return fmt.Errorf("table %s: truncated delta row in image", t.Name)
 			}
-			s.RestoreRow(key, append([]byte(nil), buf[pos:pos+int(l)]...))
+			row, _, err := sqltypes.DecodeRow(buf[pos:pos+int(l)], t.Schema)
+			if err != nil {
+				return fmt.Errorf("table %s: delta row %d/%d in image: %w", t.Name, id, key, err)
+			}
+			s.RestoreRow(key, row)
 			pos += int(l)
 		}
 		s.SetNextKey(nextKey)
@@ -366,6 +364,5 @@ func (t *Table) RestoreState(buf []byte) error {
 	if pos != len(buf) {
 		return fmt.Errorf("table %s: %d trailing bytes in state image", t.Name, len(buf)-pos)
 	}
-	t.deltaEpoch++
 	return nil
 }

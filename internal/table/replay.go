@@ -5,6 +5,7 @@ import (
 
 	"apollo/internal/colstore"
 	"apollo/internal/delta"
+	"apollo/internal/sqltypes"
 	"apollo/internal/wal"
 )
 
@@ -50,15 +51,17 @@ func (t *Table) replayInsertLocked(deltaID int, key uint64, enc []byte) error {
 		// is already in the image; the row lives (or was deleted) there.
 		return nil
 	}
-	s.RestoreRow(key, append([]byte(nil), enc...))
-	t.deltaEpoch++
+	row, _, err := sqltypes.DecodeRow(enc, t.Schema)
+	if err != nil {
+		return fmt.Errorf("table %s: delta insert %d/%d: %w", t.Name, deltaID, key, err)
+	}
+	s.RestoreRow(key, row)
 	return nil
 }
 
 func (t *Table) replayDeleteLocked(deltaID int, key uint64) {
 	if s := t.deltaByIDLocked(deltaID); s != nil {
 		s.RestoreDelete(key)
-		t.deltaEpoch++
 	}
 }
 
@@ -74,7 +77,7 @@ func (t *Table) replayCloseLocked(closedID, newID int) {
 	if newID > t.deltaID {
 		t.deltaID = newID
 	}
-	t.open = delta.NewStore(newID, t.Schema)
+	t.open = delta.NewStore(newID)
 }
 
 // replayPublishLocked installs a published row group and consumes its source
@@ -107,7 +110,6 @@ func (t *Table) replayPublishLocked(consumed int, payload []byte) error {
 	if consumed != 0 {
 		t.replayDropLocked(consumed)
 	}
-	t.deltaEpoch++
 	return nil
 }
 
@@ -117,14 +119,10 @@ func (t *Table) replayDropLocked(deltaID int) {
 	for i, s := range t.closed {
 		if s.ID == deltaID {
 			t.closed = append(t.closed[:i], t.closed[i+1:]...)
-			t.deltaEpoch++
 			return
 		}
 	}
-	if _, ok := t.moving[deltaID]; ok {
-		delete(t.moving, deltaID)
-		t.deltaEpoch++
-	}
+	delete(t.moving, deltaID)
 }
 
 // replayResetLocked clears all delta state after a rebuild, opening a fresh
@@ -137,10 +135,9 @@ func (t *Table) replayResetLocked(newOpenID int) {
 	if newOpenID > t.deltaID {
 		t.deltaID = newOpenID
 	}
-	t.open = delta.NewStore(newOpenID, t.Schema)
+	t.open = delta.NewStore(newOpenID)
 	t.closed = nil
 	t.moving = make(map[int]*delta.Store)
-	t.deltaEpoch++
 }
 
 // FinishRecovery normalizes post-replay state: any store left in Moving

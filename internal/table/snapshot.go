@@ -9,18 +9,20 @@ import (
 
 // Snapshot is a consistent read view of a table for the duration of a query:
 // the compressed row groups that existed at snapshot time, per-group delete
-// bitmaps frozen at snapshot time, and a materialized copy of the delta
-// rows. Scans built on a snapshot are unaffected by concurrent DML and the
-// tuple mover. A row group can appear while its source delta rows are also in
-// the snapshot only if the mover published it after the snapshot was cut —
-// impossible because the group list and delta list are read under one lock.
+// bitmaps frozen at snapshot time, and the delta rows visible at snapshot
+// time. Scans built on a snapshot are unaffected by concurrent DML and the
+// tuple mover: delta rows are never modified in place, so holding references
+// to them is enough. A row group can appear while its source delta rows are
+// also in the snapshot only if the mover published it after the snapshot was
+// cut — impossible because the group list and delta list are read under one
+// lock.
 type Snapshot struct {
 	Table   *Table
 	Schema  *sqltypes.Schema
 	AsOf    uint64 // resolved commit timestamp the snapshot reads at
 	Groups  []*colstore.RowGroup
 	Deletes map[int]*bits.Bitmap // nil entry = no deletes in that group
-	Delta   []sqltypes.Row       // live delta rows, materialized
+	Delta   []sqltypes.Row       // visible delta rows, shared read-only
 }
 
 // Snapshot captures a consistent view of the latest committed state.
@@ -30,11 +32,8 @@ func (t *Table) Snapshot() *Snapshot {
 
 // SnapshotView captures a consistent view as seen by view: the snapshot at
 // view.AsOf (zero = latest committed) including view.Self's own uncommitted
-// writes. Materialized delta rows are cached across snapshots and invalidated
-// by the table's delta epoch, so read-mostly workloads do not re-decode delta
-// stores per query; when every store is settled the cache is view-independent
-// (all views see the same rows). Snapshot delta rows are shared and must be
-// treated as read-only.
+// writes. The visible delta rows are collected by reference into one slice;
+// they are the delta stores' own rows and must be treated as read-only.
 func (t *Table) SnapshotView(view ReadView) *Snapshot {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -55,38 +54,16 @@ func (t *Table) SnapshotView(view ReadView) *Snapshot {
 		}
 	}
 
-	t.snapMu.Lock()
-	if t.snapValid && t.snapEpoch == t.deltaEpoch &&
-		(t.snapAnyView || (t.snapAsOf == asOf && t.snapSelf == view.Self)) {
-		s.Delta = t.snapDelta
-		t.snapMu.Unlock()
-		return s
-	}
-	t.snapMu.Unlock()
-
-	anyView := !t.anyDeltaUnsettledLocked()
-	collect := func(st *delta.Store) {
-		st.ScanVisible(asOf, view.Self, func(_ uint64, row sqltypes.Row) bool {
-			s.Delta = append(s.Delta, row)
-			return true
+	n := 0
+	t.eachDeltaLocked(func(d *delta.Store) { n += d.LiveRows(asOf, view.Self) })
+	if n > 0 {
+		s.Delta = make([]sqltypes.Row, 0, n)
+		t.eachDeltaLocked(func(d *delta.Store) {
+			d.ScanVisible(asOf, view.Self, func(_ uint64, row sqltypes.Row) {
+				s.Delta = append(s.Delta, row)
+			})
 		})
 	}
-	collect(t.open)
-	for _, d := range t.closed {
-		collect(d)
-	}
-	for _, d := range t.moving {
-		collect(d)
-	}
-
-	t.snapMu.Lock()
-	t.snapDelta = s.Delta
-	t.snapEpoch = t.deltaEpoch
-	t.snapAsOf = asOf
-	t.snapSelf = view.Self
-	t.snapAnyView = anyView
-	t.snapValid = true
-	t.snapMu.Unlock()
 	return s
 }
 

@@ -79,23 +79,11 @@ type Table struct {
 	clock      Clock
 	txnPending map[uint64][]intent
 
-	// deltaEpoch increments on every mutation of delta-store contents; the
-	// snapshot cache (snapshot.go) uses it to reuse materialized delta rows
-	// across queries when nothing changed.
-	//
 	// statsVersion increments on every row-group publish (tuple mover, bulk
 	// load, rebuild, merge). Publishes can shift the data distribution without
 	// a large row-count delta, so the statistics cache keys recollection on
 	// this counter in addition to row drift.
 	statsVersion uint64
-	deltaEpoch   uint64
-	snapMu      sync.Mutex
-	snapDelta   []sqltypes.Row
-	snapEpoch   uint64
-	snapAsOf    uint64 // view the cached delta rows were materialized for
-	snapSelf    uint64
-	snapAnyView bool // cached rows valid for every view (all stores settled)
-	snapValid   bool
 
 	// compressMu serializes row-group compression (tuple mover vs bulk load)
 	// so the shared primary dictionaries see a single writer. Paths that hold
@@ -178,7 +166,7 @@ func (t *Table) Deletes() *delta.DeleteBitmap { return t.deletes }
 
 func (t *Table) newDeltaStoreLocked() *delta.Store {
 	t.deltaID++
-	return delta.NewStore(t.deltaID, t.Schema)
+	return delta.NewStore(t.deltaID)
 }
 
 func (t *Table) checkRow(row sqltypes.Row) error {
@@ -255,20 +243,22 @@ func (t *Table) InsertTxn(tx TxnRef, row sqltypes.Row) (Locator, error) {
 // insertOpenLocked logs and applies one insert into the open delta store,
 // closing it (with a logged transition) when it reaches RowGroupSize. The
 // record goes first: the key is known before the insert (keys are assigned
-// monotonically), and on append failure nothing has been applied.
+// monotonically), and on append failure nothing has been applied. The store
+// keeps row, so the caller must own it (coerceRow's copy).
 func (t *Table) insertOpenLocked(row sqltypes.Row, wc writeCtx) (Locator, bool, error) {
-	enc := sqltypes.EncodeRow(nil, t.Schema, row)
 	key := t.open.NextKey()
-	if err := t.logTxnWAL(&wal.Record{Type: wal.TDeltaInsert, A: uint64(t.open.ID), B: key, Payload: enc}, wc.self); err != nil {
-		return Locator{}, false, err
+	if t.wal != nil {
+		enc := sqltypes.EncodeRow(nil, t.Schema, row)
+		if err := t.logTxnWAL(&wal.Record{Type: wal.TDeltaInsert, A: uint64(t.open.ID), B: key, Payload: enc}, wc.self); err != nil {
+			return Locator{}, false, err
+		}
 	}
-	if _, err := t.open.InsertEncodedAt(enc, wc.ts); err != nil {
+	if _, err := t.open.InsertAt(row, wc.ts); err != nil {
 		return Locator{}, false, err
 	}
 	if wc.self != 0 {
 		t.addIntentLocked(wc.self, intent{kind: intentInsert, deltaID: t.open.ID, key: key})
 	}
-	t.deltaEpoch++
 	loc := Locator{InDelta: true, DeltaID: t.open.ID, Key: key}
 	if t.open.Rows() >= t.Opts.RowGroupSize {
 		if err := t.closeOpenLocked(); err != nil {
@@ -296,46 +286,6 @@ func (t *Table) closeOpenLocked() error {
 func (t *Table) InsertMany(rows []sqltypes.Row) error {
 	for _, r := range rows {
 		if _, err := t.Insert(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BulkLoad loads rows through the bulk path (§4.2): full row groups compress
-// directly; a trailing remainder at or above BulkLoadThreshold also
-// compresses (as a smaller row group); a remainder below the threshold is
-// trickle-inserted into the open delta store.
-func (t *Table) BulkLoad(rows []sqltypes.Row) error {
-	for _, r := range rows {
-		if err := t.checkRow(r); err != nil {
-			return err
-		}
-	}
-	coerced := make([]sqltypes.Row, len(rows))
-	for i, r := range rows {
-		coerced[i] = t.coerceRow(r)
-	}
-	i := 0
-	for len(coerced)-i >= t.Opts.RowGroupSize {
-		if err := t.compressRows(coerced[i : i+t.Opts.RowGroupSize]); err != nil {
-			return err
-		}
-		i += t.Opts.RowGroupSize
-	}
-	rem := coerced[i:]
-	if len(rem) == 0 {
-		return nil
-	}
-	if len(rem) >= t.Opts.BulkLoadThreshold {
-		return t.compressRows(rem)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	wc := t.writeCtxLocked(TxnRef{})
-	defer t.finishWrite(wc)
-	for _, r := range rem {
-		if _, _, err := t.insertOpenLocked(r, wc); err != nil {
 			return err
 		}
 	}
@@ -418,20 +368,20 @@ func (t *Table) StatsVersion() uint64 {
 	return t.statsVersion
 }
 
-// FetchRow resolves a bookmark to its row. Deleted or stale locators report
-// ok=false.
+// FetchRow resolves a bookmark to a copy of its row. Deleted or stale
+// locators report ok=false.
 func (t *Table) FetchRow(loc Locator) (sqltypes.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.fetchRowLocked(loc)
-}
-
-func (t *Table) fetchRowLocked(loc Locator) (sqltypes.Row, bool) {
-	return t.fetchRowViewLocked(loc, t.stableTSLocked(), 0)
+	row, ok := t.fetchRowViewLocked(loc, t.stableTSLocked(), 0)
+	if ok && loc.InDelta {
+		row = row.Clone()
+	}
+	return row, ok
 }
 
 // fetchRowViewLocked resolves a bookmark as seen by a snapshot at asOf taken
-// by self.
+// by self. A delta row is the store's own and must not be modified.
 func (t *Table) fetchRowViewLocked(loc Locator, asOf, self uint64) (sqltypes.Row, bool) {
 	if loc.InDelta {
 		if s := t.deltaByIDLocked(loc.DeltaID); s != nil {
@@ -449,34 +399,45 @@ func (t *Table) fetchRowViewLocked(loc Locator, asOf, self uint64) (sqltypes.Row
 	if g == nil || loc.Tuple < 0 || loc.Tuple >= g.Rows {
 		return nil, false
 	}
-	row := make(sqltypes.Row, t.Schema.Len())
-	for c := range t.Schema.Cols {
-		r, err := t.idx.OpenColumn(g, c)
-		if err != nil {
-			return nil, false
-		}
-		row[c] = r.Value(loc.Tuple)
+	readers, err := t.groupReadersLocked(g)
+	if err != nil {
+		return nil, false
 	}
-	return row, true
+	return rowAt(readers, loc.Tuple), true
 }
 
-// anyDeltaUnsettledLocked reports whether any delta store carries version
-// state (provisional rows, unsettled commits, or tombstones).
-func (t *Table) anyDeltaUnsettledLocked() bool {
-	if t.open.Unsettled() {
-		return true
-	}
-	for _, s := range t.closed {
-		if s.Unsettled() {
-			return true
+// groupReadersLocked opens a reader on every column of g.
+func (t *Table) groupReadersLocked(g *colstore.RowGroup) ([]*colstore.ColumnReader, error) {
+	readers := make([]*colstore.ColumnReader, t.Schema.Len())
+	for c := range readers {
+		r, err := t.idx.OpenColumn(g, c)
+		if err != nil {
+			return nil, err
 		}
+		readers[c] = r
+	}
+	return readers, nil
+}
+
+// rowAt materializes tuple i of the group the readers were opened on.
+func rowAt(readers []*colstore.ColumnReader, i int) sqltypes.Row {
+	row := make(sqltypes.Row, len(readers))
+	for c, r := range readers {
+		row[c] = r.Value(i)
+	}
+	return row
+}
+
+// eachDeltaLocked calls fn for every delta store: the open one, then the
+// closed queue, then the stores being moved.
+func (t *Table) eachDeltaLocked(fn func(*delta.Store)) {
+	fn(t.open)
+	for _, s := range t.closed {
+		fn(s)
 	}
 	for _, s := range t.moving {
-		if s.Unsettled() {
-			return true
-		}
+		fn(s)
 	}
-	return false
 }
 
 func (t *Table) deltaByIDLocked(id int) *delta.Store {
@@ -492,7 +453,7 @@ func (t *Table) deltaByIDLocked(id int) *delta.Store {
 }
 
 // DeleteAt marks the row at loc deleted (§4.1): delta rows are removed from
-// their B-tree (or tombstoned when snapshots pin them); compressed rows are
+// their store (or tombstoned when snapshots pin them); compressed rows are
 // marked in the delete bitmap. A WAL append failure reports false (the
 // delete did not happen).
 func (t *Table) DeleteAt(loc Locator) bool {
@@ -534,7 +495,6 @@ func (t *Table) deleteAtLocked(loc Locator, wc writeCtx) (bool, error) {
 		if wc.self != 0 {
 			t.addIntentLocked(wc.self, intent{kind: intentDeltaDelete, deltaID: loc.DeltaID, key: loc.Key})
 		}
-		t.deltaEpoch++
 		return true, nil
 	}
 	g := t.idx.Group(loc.Group)
@@ -554,7 +514,6 @@ func (t *Table) deleteAtLocked(loc Locator, wc writeCtx) (bool, error) {
 	if wc.self != 0 {
 		t.addIntentLocked(wc.self, intent{kind: intentBitmapDelete, group: loc.Group, tuple: loc.Tuple})
 	}
-	t.deltaEpoch++
 	return true, nil
 }
 
@@ -634,19 +593,14 @@ func (t *Table) UpdateWhereTxn(tx TxnRef, pred func(sqltypes.Row) bool, set func
 
 // matchLocked scans the whole table row-at-a-time collecting locators of rows
 // matching pred as seen by wc's snapshot. DML-path only; queries use the
-// vectorized scan. The insert half of an update appends to the open store
-// mid-iteration, so the open store is scanned through a key bound captured
-// first — but callers collect locators fully before mutating anyway.
+// vectorized scan. Callers collect every locator before mutating, so the
+// insert half of an update never lands in a store being scanned.
 func (t *Table) matchLocked(pred func(sqltypes.Row) bool, wc writeCtx) ([]Locator, error) {
 	var locs []Locator
 	for _, g := range t.idx.Groups() {
-		readers := make([]*colstore.ColumnReader, t.Schema.Len())
-		for c := range readers {
-			r, err := t.idx.OpenColumn(g, c)
-			if err != nil {
-				return nil, err
-			}
-			readers[c] = r
+		readers, err := t.groupReadersLocked(g)
+		if err != nil {
+			return nil, err
 		}
 		del := t.deletes.SnapshotView(g.ID, wc.asOf, wc.self)
 		row := make(sqltypes.Row, t.Schema.Len())
@@ -662,27 +616,20 @@ func (t *Table) matchLocked(pred func(sqltypes.Row) bool, wc writeCtx) ([]Locato
 			}
 		}
 	}
-	scanDelta := func(s *delta.Store) error {
-		return s.ScanVisible(wc.asOf, wc.self, func(k uint64, row sqltypes.Row) bool {
+	scanDelta := func(s *delta.Store) {
+		s.ScanVisible(wc.asOf, wc.self, func(k uint64, row sqltypes.Row) {
 			if pred(row) {
 				locs = append(locs, Locator{InDelta: true, DeltaID: s.ID, Key: k})
 			}
-			return true
 		})
 	}
 	for _, s := range t.closed {
-		if err := scanDelta(s); err != nil {
-			return nil, err
-		}
+		scanDelta(s)
 	}
 	for _, s := range t.moving {
-		if err := scanDelta(s); err != nil {
-			return nil, err
-		}
+		scanDelta(s)
 	}
-	if err := scanDelta(t.open); err != nil {
-		return nil, err
-	}
+	scanDelta(t.open)
 	return locs, nil
 }
 
@@ -694,13 +641,7 @@ func (t *Table) Rows() int {
 	defer t.mu.RUnlock()
 	stable := t.stableTSLocked()
 	n := t.idx.Rows() - t.deletes.Count()
-	n += t.open.LiveRows(stable, 0)
-	for _, s := range t.closed {
-		n += s.LiveRows(stable, 0)
-	}
-	for _, s := range t.moving {
-		n += s.LiveRows(stable, 0)
-	}
+	t.eachDeltaLocked(func(s *delta.Store) { n += s.LiveRows(stable, 0) })
 	return n
 }
 
@@ -713,7 +654,6 @@ type Stats struct {
 	DeltaRows        int
 	DiskBytes        int
 	RawBytes         int
-	DeltaMemBytes    int
 }
 
 // Stat returns a snapshot of table statistics.
@@ -727,36 +667,28 @@ func (t *Table) Stat() Stats {
 		DiskBytes:        t.idx.DiskBytes(),
 		RawBytes:         t.idx.RawBytes(),
 	}
-	add := func(s *delta.Store) {
+	t.eachDeltaLocked(func(s *delta.Store) {
 		st.DeltaStores++
 		st.DeltaRows += s.Rows()
-		st.DeltaMemBytes += s.MemBytes()
-	}
-	add(t.open)
-	for _, s := range t.closed {
-		add(s)
-	}
-	for _, s := range t.moving {
-		add(s)
-	}
+	})
 	return st
 }
 
 // Sample draws up to n rows uniformly at random using bookmarks (§4.4):
 // random positions in the logical row space resolve through locators, with
 // deleted rows skipped. Positions are batched per row group so each sampled
-// group's segments are opened (and decoded) once, not once per row.
+// group's segments are opened (and decoded) once, not once per row. The rows
+// are copies the caller may modify.
 func (t *Table) Sample(n int, rng *rand.Rand) []sqltypes.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 
-	// Build the position -> locator space: compressed groups first, then
-	// delta stores (keys materialized for random access).
+	// Build the position -> row space: compressed groups first, then the
+	// visible delta rows.
 	type span struct {
 		rows  int
 		group *colstore.RowGroup
-		keys  []uint64
-		store *delta.Store
+		delta []sqltypes.Row
 	}
 	var spans []span
 	total := 0
@@ -765,25 +697,14 @@ func (t *Table) Sample(n int, rng *rand.Rand) []sqltypes.Row {
 		total += g.Rows
 	}
 	stable := t.stableTSLocked()
-	collect := func(s *delta.Store) {
-		if s.Rows() == 0 {
-			return
+	t.eachDeltaLocked(func(s *delta.Store) {
+		var rows []sqltypes.Row
+		s.ScanVisible(stable, 0, func(_ uint64, row sqltypes.Row) { rows = append(rows, row) })
+		if len(rows) > 0 {
+			spans = append(spans, span{rows: len(rows), delta: rows})
+			total += len(rows)
 		}
-		keys := make([]uint64, 0, s.Rows())
-		s.ScanVisible(stable, 0, func(k uint64, _ sqltypes.Row) bool { keys = append(keys, k); return true })
-		if len(keys) == 0 {
-			return
-		}
-		spans = append(spans, span{rows: len(keys), keys: keys, store: s})
-		total += len(keys)
-	}
-	collect(t.open)
-	for _, s := range t.closed {
-		collect(s)
-	}
-	for _, s := range t.moving {
-		collect(s)
-	}
+	})
 	if total == 0 {
 		return nil
 	}
@@ -836,38 +757,22 @@ func (t *Table) Sample(n int, rng *rand.Rand) []sqltypes.Row {
 			sp := &spans[si]
 			if sp.group == nil {
 				for _, pos := range positions {
-					if row, ok := sp.store.Get(sp.keys[pos]); ok {
-						out = append(out, row)
-					}
+					out = append(out, sp.delta[pos].Clone())
 				}
 				continue
 			}
 			readers := readerCache[sp.group.ID]
 			if readers == nil {
-				readers = make([]*colstore.ColumnReader, t.Schema.Len())
-				ok := true
-				for c := range readers {
-					r, err := t.idx.OpenColumn(sp.group, c)
-					if err != nil {
-						ok = false
-						break
-					}
-					readers[c] = r
-				}
-				if !ok {
+				var err error
+				if readers, err = t.groupReadersLocked(sp.group); err != nil {
 					continue
 				}
 				readerCache[sp.group.ID] = readers
 			}
 			for _, pos := range positions {
-				if t.deletes.IsDeleted(sp.group.ID, pos) {
-					continue
+				if !t.deletes.IsDeleted(sp.group.ID, pos) {
+					out = append(out, rowAt(readers, pos))
 				}
-				row := make(sqltypes.Row, t.Schema.Len())
-				for c, r := range readers {
-					row[c] = r.Value(pos)
-				}
-				out = append(out, row)
 			}
 		}
 	}
@@ -933,7 +838,6 @@ func (t *Table) MoveOnce() (moved bool, err error) {
 			return false, werr
 		}
 		delete(t.moving, s.ID)
-		t.deltaEpoch++
 		t.mu.Unlock()
 		return true, nil
 	}
@@ -1014,7 +918,7 @@ func (t *Table) MoveOnce() (moved bool, err error) {
 		// The publish record never made it to the log; roll back like a
 		// build failure. The group's blobs become orphans (recovery GCs
 		// them; in-process they are unreachable but small). The drained
-		// delete buffer is already reflected in the store's tree, so a
+		// delete buffer is already reflected in the store's rows, so a
 		// retry's BeginMove sees the post-delete row set.
 		delete(t.moving, s.ID)
 		s.AbortMove()
@@ -1025,7 +929,6 @@ func (t *Table) MoveOnce() (moved bool, err error) {
 		return false, werr
 	}
 	delete(t.moving, s.ID)
-	t.deltaEpoch++
 	t.mu.Unlock()
 	t.compressMu.Unlock()
 	return true, nil
@@ -1160,7 +1063,9 @@ func (t *Table) Rebuild() error {
 	// cannot run while transactions hold provisional state or snapshots pin
 	// unsettled versions.
 	t.settleLocked()
-	if len(t.txnPending) > 0 || t.deletes.AnyUnsettled() || t.anyDeltaUnsettledLocked() {
+	busy := len(t.txnPending) > 0 || t.deletes.AnyUnsettled()
+	t.eachDeltaLocked(func(s *delta.Store) { busy = busy || s.Unsettled() })
+	if busy {
 		return ErrBusyTxns
 	}
 
@@ -1168,25 +1073,9 @@ func (t *Table) Rebuild() error {
 	// groups holding its live rows plus those (compressMu is already held
 	// for the whole rebuild).
 	var deltaRows []sqltypes.Row
-	collect := func(s *delta.Store) error {
-		return s.Scan(func(_ uint64, row sqltypes.Row) bool {
-			deltaRows = append(deltaRows, row)
-			return true
-		})
-	}
-	if err := collect(t.open); err != nil {
-		return err
-	}
-	for _, s := range t.closed {
-		if err := collect(s); err != nil {
-			return err
-		}
-	}
-	for _, s := range t.moving {
-		if err := collect(s); err != nil {
-			return err
-		}
-	}
+	t.eachDeltaLocked(func(s *delta.Store) {
+		s.Scan(func(_ uint64, row sqltypes.Row) { deltaRows = append(deltaRows, row) })
+	})
 	if _, err := t.rewriteGroupsLocked(t.idx.Groups(), deltaRows); err != nil {
 		return err
 	}
@@ -1196,7 +1085,6 @@ func (t *Table) Rebuild() error {
 	t.open = t.newDeltaStoreLocked()
 	t.closed = nil
 	t.moving = make(map[int]*delta.Store)
-	t.deltaEpoch++
 	return nil
 }
 
@@ -1248,24 +1136,15 @@ func (t *Table) MergeSmallGroups() (int, error) {
 func (t *Table) rewriteGroupsLocked(groups []*colstore.RowGroup, extra []sqltypes.Row) (int, error) {
 	var rows []sqltypes.Row
 	for _, g := range groups {
-		readers := make([]*colstore.ColumnReader, t.Schema.Len())
-		for c := range readers {
-			r, err := t.idx.OpenColumn(g, c)
-			if err != nil {
-				return 0, err
-			}
-			readers[c] = r
+		readers, err := t.groupReadersLocked(g)
+		if err != nil {
+			return 0, err
 		}
 		del := t.deletes.Snapshot(g.ID)
 		for i := 0; i < g.Rows; i++ {
-			if del != nil && del.Get(i) {
-				continue
+			if del == nil || !del.Get(i) {
+				rows = append(rows, rowAt(readers, i))
 			}
-			row := make(sqltypes.Row, t.Schema.Len())
-			for c, r := range readers {
-				row[c] = r.Value(i)
-			}
-			rows = append(rows, row)
 		}
 	}
 	rows = append(rows, extra...)

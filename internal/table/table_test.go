@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"apollo/internal/colstore"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
 )
@@ -233,73 +232,24 @@ func TestFetchRowBookmarks(t *testing.T) {
 }
 
 func TestMoveOnceReplaysDeleteBuffer(t *testing.T) {
-	// Deterministically exercise the Moving-state delete buffer: begin a
-	// move, delete rows from the moving store, then finish via MoveOnce's
-	// internals — done here by pausing between BeginMove and completion
-	// using the package internals.
+	// Deletes that land while the mover compresses a store go to its delete
+	// buffer; MoveOnce must replay them onto the published group.
 	tb := newTable(t)
 	var locs []Locator
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 100; i++ { // the 100th insert closes the store
 		loc, _ := tb.Insert(mkRow(int64(i)))
 		locs = append(locs, loc)
 	}
-	// Store closed automatically at 100 rows.
-	tb.mu.RLock()
-	nclosed := len(tb.closed)
-	tb.mu.RUnlock()
-	if nclosed != 1 {
-		t.Fatalf("closed = %d", nclosed)
-	}
-
-	// Run MoveOnce on a goroutine but intercept by deleting concurrently.
-	// To keep the test deterministic we instead simulate: BeginMove, delete,
-	// then hand-complete through the public API pieces.
-	tb.mu.Lock()
-	s := tb.closed[0]
-	tb.closed = tb.closed[1:]
-	keys, rows, err := s.BeginMove()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb.moving[s.ID] = s
-	tb.mu.Unlock()
-
-	// Delete two rows while the store is Moving — they are gone from the
-	// B-tree and recorded in the delete buffer.
-	if !tb.DeleteAt(locs[3]) || !tb.DeleteAt(locs[97]) {
-		t.Fatal("delete during move failed")
-	}
-
-	// Complete the move the same way MoveOnce does.
-	bufs := colstore.BuffersFromRows(tb.Schema, rows)
-	g, perm, err := tb.idx.BuildRowGroup(bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv := make([]int, len(rows))
-	if perm == nil {
-		for i := range inv {
-			inv[i] = i
-		}
-	} else {
-		for np, op := range perm {
-			inv[op] = np
+	tb.moverTestHookAfterBuild = func() {
+		if !tb.DeleteAt(locs[3]) || !tb.DeleteAt(locs[97]) {
+			t.Error("delete during move failed")
 		}
 	}
-	tb.mu.Lock()
-	tb.idx.PublishGroup(g)
-	for _, bd := range s.DrainDeleteBuffer() {
-		for i, kk := range keys {
-			if kk == bd.Key {
-				tb.deletes.Delete(g.ID, inv[i])
-			}
-		}
+	if moved, err := tb.MoveOnce(); !moved || err != nil {
+		t.Fatalf("MoveOnce: moved=%v err=%v", moved, err)
 	}
-	delete(tb.moving, s.ID)
-	tb.mu.Unlock()
-
-	if tb.Rows() != 98 {
-		t.Fatalf("Rows = %d, want 98", tb.Rows())
+	if st := tb.Stat(); st.CompressedRows != 100 || st.DeletedRows != 2 || tb.Rows() != 98 {
+		t.Fatalf("after move: %+v, Rows = %d", st, tb.Rows())
 	}
 	got := collect(t, tb)
 	if got[3] != 0 || got[97] != 0 || got[4] != 1 {

@@ -114,9 +114,9 @@ func (t *Table) finishWrite(wc writeCtx) {
 type intentKind uint8
 
 const (
-	intentInsert intentKind = iota // provisional delta-store row
-	intentDeltaDelete              // provisional end mark on a delta row
-	intentBitmapDelete             // pending delete-bitmap entry
+	intentInsert       intentKind = iota // provisional delta-store row
+	intentDeltaDelete                    // provisional end mark on a delta row
+	intentBitmapDelete                   // pending delete-bitmap entry
 )
 
 // intent is one provisional effect, recorded so commit/abort (and recovery)
@@ -165,7 +165,6 @@ func (t *Table) commitTxnLocked(id, cts uint64) {
 			t.deletes.CommitPending(in.group, in.tuple, cts)
 		}
 	}
-	t.deltaEpoch++
 	t.settleLocked()
 }
 
@@ -197,7 +196,6 @@ func (t *Table) abortTxnLocked(id uint64) {
 			t.deletes.AbortPending(in.group, in.tuple)
 		}
 	}
-	t.deltaEpoch++
 	t.settleLocked()
 }
 
@@ -208,28 +206,6 @@ func (t *Table) abortTxnLocked(id uint64) {
 // passes; cheap when there is nothing to do.
 func (t *Table) settleLocked() {
 	h := t.horizonLocked()
-	purged := t.open.Purge(h)
-	for _, s := range t.closed {
-		purged += s.Purge(h)
-	}
-	for _, s := range t.moving {
-		purged += s.Purge(h)
-	}
+	t.eachDeltaLocked(func(s *delta.Store) { s.Purge(h) })
 	t.deletes.Settle(h)
-	if purged > 0 {
-		t.deltaEpoch++
-	}
-}
-
-// PendingTxns returns the ids of transactions with unresolved provisional
-// effects on this table (recovery uses it to roll back in-flight
-// transactions; tests use it to assert cleanliness).
-func (t *Table) PendingTxns() []uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]uint64, 0, len(t.txnPending))
-	for id := range t.txnPending {
-		out = append(out, id)
-	}
-	return out
 }

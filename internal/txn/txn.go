@@ -53,9 +53,9 @@ type Manager struct {
 	commitMu sync.Mutex
 
 	mu            sync.Mutex
-	nextID        uint64 // next transaction id (TxnBit-tagged when handed out)
-	nextTS        uint64 // next commit timestamp
-	lastCommitted uint64 // every commit at or below this is fully applied
+	nextID        uint64              // next transaction id (TxnBit-tagged when handed out)
+	nextTS        uint64              // next commit timestamp
+	lastCommitted uint64              // every commit at or below this is fully applied
 	pendingTS     map[uint64]struct{} // allocated, not yet fully applied
 	active        map[uint64]*Txn     // in-flight transactions by id
 	pins          map[uint64]int      // snapshot read pins: asOf -> refcount
@@ -183,10 +183,10 @@ type Txn struct {
 	id   uint64
 	snap uint64
 
-	mu     sync.Mutex
-	tables map[string]*table.Table // tables with provisional effects
-	began  bool                    // TBegin logged (lazily, on first write)
-	done   bool
+	mu      sync.Mutex
+	tables  map[string]*table.Table // tables with provisional effects
+	began   bool                    // TBegin logged (lazily, on first write)
+	done    bool
 	doneErr error // what finished it: nil (commit/rollback) or ErrClosed
 }
 

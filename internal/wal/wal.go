@@ -130,8 +130,8 @@ type Writer struct {
 	// (fsyncgate fail-stop; see Poison). injSyncFail / injNoSpaceIn are the
 	// deterministic fault-injection counters (SetFailSync /
 	// SetAppendNoSpace); injNoSpaceIn is guarded by mu.
-	poison      atomic.Pointer[PoisonedError]
-	injSyncFail atomic.Int64
+	poison       atomic.Pointer[PoisonedError]
+	injSyncFail  atomic.Int64
 	injNoSpaceIn int64
 
 	intervalStop chan struct{}
