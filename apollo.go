@@ -34,6 +34,7 @@ import (
 	"apollo/internal/persist"
 	"apollo/internal/plan"
 	"apollo/internal/qerr"
+	"apollo/internal/sched"
 	"apollo/internal/scrub"
 	"apollo/internal/sql"
 	"apollo/internal/sqltypes"
@@ -118,13 +119,9 @@ type Config struct {
 	// ArchiveTier stores new tables' segments under archival (DEFLATE)
 	// compression — COLUMNSTORE_ARCHIVE.
 	ArchiveTier bool
-	// TupleMoverInterval starts a background tuple mover per table; 0 keeps
-	// the tuple mover manual (REORGANIZE / FlushOpen).
+	// TupleMoverInterval runs each table's tuple mover when a delta store
+	// closes and every interval; 0 keeps it manual (REORGANIZE / FlushOpen).
 	TupleMoverInterval time.Duration
-	// Ablation switches used by the experiment harness.
-	NoSegmentElimination bool
-	NoBloom              bool
-	NoReorder            bool
 	// TraceWriter, when set, receives one JSON trace event per operator
 	// lifecycle transition (open, next-batch, eos, error, close) for every
 	// query, with monotonic timestamps. See metrics.TraceEvent for the
@@ -157,8 +154,8 @@ type Config struct {
 	// cumulative bytes (crash-injection testing; 0 disables).
 	WALCrashAt int64
 
-	// ScrubInterval starts the background integrity scrubber with one pass
-	// per interval (0 keeps scrubbing manual via DB.Scrub / .scrub).
+	// ScrubInterval schedules one background integrity-scrub pass per
+	// interval (0 keeps scrubbing manual via DB.Scrub / .scrub).
 	ScrubInterval time.Duration
 	// ScrubBytesPerSec paces the scrubber's verification throughput
 	// (default 256 MiB/s).
@@ -198,10 +195,11 @@ type DB struct {
 	closed  atomic.Bool
 
 	// state is the write-availability state machine (healthy → read-only on
-	// ENOSPC → poisoned on fsync failure); scrubber is the background
-	// integrity worker. Both always non-nil after open.
+	// ENOSPC → poisoned on fsync failure); scrubber is the integrity worker;
+	// sched runs the background jobs. All non-nil after open.
 	state    *degrade.State
 	scrubber *scrub.Scrubber
+	sched    *sched.Scheduler
 
 	// Instance-local RNG (Config.RandSeed): fault-injection seed derivation
 	// must not consume a process-global source, or one tenant's runs would
@@ -212,12 +210,12 @@ type DB struct {
 }
 
 // Open creates an in-process database.
-func Open(cfg Config) *DB {
+func Open(cfg Config) *DB { return open(cfg, time.Now) }
+
+// open is Open with the background scheduler reading the time from now.
+func open(cfg Config, now func() time.Time) *DB {
 	store := storage.NewStore(cfg.BufferPoolBytes)
-	cat := catalog.New(store)
-	db := newDB(cfg, store, cat, nil, degrade.New())
-	db.finishOpen()
-	return db
+	return newDB(cfg, store, catalog.New(store), nil, new(degrade.State), now)
 }
 
 // OpenDir opens (or creates) a durable database rooted at dir. Recovery runs
@@ -226,7 +224,10 @@ func Open(cfg Config) *DB {
 // anywhere else in the log fails the open with an error matching
 // wal.ErrCorrupt. All DDL and DML on the returned DB is logged; durability
 // of acknowledged writes follows cfg.FsyncPolicy.
-func OpenDir(dir string, cfg Config) (*DB, error) {
+func OpenDir(dir string, cfg Config) (*DB, error) { return openDir(dir, cfg, time.Now) }
+
+// openDir is OpenDir with the background scheduler reading the time from now.
+func openDir(dir string, cfg Config, now func() time.Time) (*DB, error) {
 	policy, err := wal.ParsePolicy(cfg.FsyncPolicy)
 	if err != nil {
 		return nil, err
@@ -235,7 +236,7 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	cat := catalog.New(store)
 	// The degrade state exists before the WAL writer so a poison fired at any
 	// point in the writer's life — including recovery — lands in it.
-	state := degrade.New()
+	state := new(degrade.State)
 	res, err := persist.Recover(dir, store, cat, wal.Options{
 		Policy:       policy,
 		Interval:     cfg.FsyncInterval,
@@ -246,7 +247,7 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apollo: open %s: %w", dir, err)
 	}
-	db := newDB(cfg, store, cat, res.Writer, state)
+	db := newDB(cfg, store, cat, res.Writer, state, now)
 	db.dataDir = dir
 	db.rec = RecoveryInfo{
 		CheckpointSeq:   res.CheckpointSeq,
@@ -258,21 +259,12 @@ func OpenDir(dir string, cfg Config) (*DB, error) {
 	// Spills are scratch data; route them to a private in-memory store so
 	// they never write through to the blob directory.
 	db.engine.PlanOpts.SpillStore = storage.NewStore(cfg.BufferPoolBytes)
-	// Recovered tables get their background movers started here (the engine
-	// hook only fires for tables created through SQL).
-	for _, name := range cat.List() {
-		if t, err := cat.Get(name); err == nil {
-			if cfg.TupleMoverInterval > 0 {
-				t.StartTupleMover(cfg.TupleMoverInterval)
-			}
-			t.SetFailureObserver(db.state.Observe)
-		}
-	}
-	db.finishOpen()
 	return db, nil
 }
 
-func newDB(cfg Config, store *storage.Store, cat *catalog.Catalog, w *wal.Writer, state *degrade.State) *DB {
+// newDB wires a DB around its store, catalog, WAL (nil in memory) and
+// degrade state, with the background scheduler reading the time from now.
+func newDB(cfg Config, store *storage.Store, cat *catalog.Catalog, w *wal.Writer, state *degrade.State, now func() time.Time) *DB {
 	topts := table.DefaultOptions()
 	if cfg.RowGroupSize > 0 {
 		topts.RowGroupSize = cfg.RowGroupSize
@@ -282,9 +274,6 @@ func newDB(cfg Config, store *storage.Store, cat *catalog.Catalog, w *wal.Writer
 	}
 	if cfg.ArchiveTier {
 		topts.Columnstore.Tier = storage.Archival
-	}
-	if cfg.NoReorder {
-		topts.Columnstore.Reorder = false
 	}
 	// Bulk loads compress per-column segments concurrently with the same DOP
 	// queries get (<=1 keeps the serial build).
@@ -300,7 +289,6 @@ func newDB(cfg Config, store *storage.Store, cat *catalog.Catalog, w *wal.Writer
 		store.SetCacheBudget(cfg.CacheBudget)
 	}
 	db.txns = txn.NewManager(w)
-	cat.SetClock(db.txns)
 	var tracer *metrics.Tracer
 	if cfg.TraceWriter != nil {
 		tracer = metrics.NewTracer(cfg.TraceWriter)
@@ -308,34 +296,17 @@ func newDB(cfg Config, store *storage.Store, cat *catalog.Catalog, w *wal.Writer
 	db.engine = &sql.Engine{
 		Cat: cat,
 		PlanOpts: plan.Options{
-			Mode:                 cfg.Mode,
-			Parallel:             cfg.Parallel,
-			MemoryBudget:         cfg.MemoryBudget,
-			SpillStore:           store,
-			NoSegmentElimination: cfg.NoSegmentElimination,
-			NoBloom:              cfg.NoBloom,
-			Tracer:               tracer,
+			Mode:         cfg.Mode,
+			Parallel:     cfg.Parallel,
+			MemoryBudget: cfg.MemoryBudget,
+			SpillStore:   store,
+			Tracer:       tracer,
 		},
 		TableOpts: topts,
 		Txns:      db.txns,
 		State:     state,
 	}
-	db.engine.OnCreate = func(t *table.Table) {
-		if cfg.TupleMoverInterval > 0 {
-			t.StartTupleMover(cfg.TupleMoverInterval)
-		}
-		// Background mover failures (ENOSPC, poisoned WAL) must degrade the
-		// DB even though no session is on the path.
-		t.SetFailureObserver(db.state.Observe)
-	}
-	return db
-}
-
-// finishOpen wires the durability-health plumbing that needs the fully
-// constructed DB: fsync-failure poisoning from the blob backing, the
-// read-only write probe, and the integrity scrubber.
-func (db *DB) finishOpen() {
-	if b := db.store.Backing(); b != nil {
+	if b := store.Backing(); b != nil {
 		b.SetSyncFailHook(func(err error) {
 			// A failed blob fsync is as unrecoverable as a failed WAL fsync:
 			// the page cache may have dropped the dirty pages, so nothing
@@ -346,7 +317,8 @@ func (db *DB) finishOpen() {
 			}
 		})
 	}
-	db.state.SetProbe(db.writeProbe, db.cfg.ProbeInterval)
+	db.sched = sched.New(now)
+	db.sched.Add(db.state.ProbeJob(db.writeProbe, db.cfg.ProbeInterval))
 
 	walDir := ""
 	var below func() uint64
@@ -356,12 +328,23 @@ func (db *DB) finishOpen() {
 		below = func() uint64 { return db.wal.Stat().Seq }
 		ckpt = func() error { _, err := db.Checkpoint(); return err }
 	}
-	db.scrubber = scrub.New(db.store, db.cat, walDir, below, ckpt, scrub.Options{
-		Interval:    db.cfg.ScrubInterval,
-		BytesPerSec: db.cfg.ScrubBytesPerSec,
-	})
+	db.scrubber = scrub.New(db.store, db.cat, walDir, below, ckpt, db.cfg.ScrubBytesPerSec)
 	if db.cfg.ScrubInterval > 0 {
-		db.scrubber.Start()
+		db.sched.Add(db.scrubber.Job(db.cfg.ScrubInterval))
+	}
+	cat.OnTable(db.attach)
+	return db
+}
+
+// attach wires a table into the DB: the transaction clock, its move
+// failures into the degrade state (a background move hitting ENOSPC or a
+// poisoned WAL must degrade the DB although no session is on the path),
+// and, with TupleMoverInterval set, its tuple-mover job.
+func (db *DB) attach(t *table.Table) {
+	t.SetClock(db.txns)
+	t.SetFailureObserver(db.state.Observe)
+	if db.cfg.TupleMoverInterval > 0 {
+		db.sched.Add(t.MoverJob(db.cfg.TupleMoverInterval))
 	}
 }
 
@@ -390,12 +373,8 @@ func (db *DB) Close() {
 		return
 	}
 	db.engine.SetClosed()
-	if db.scrubber != nil {
-		db.scrubber.Stop()
-	}
-	db.state.Close()
+	db.sched.Stop()
 	db.txns.Close()
-	db.cat.Close()
 	if db.wal != nil {
 		db.wal.Close() //nolint:synccheck — close error reflected in wal.Stat().Poisoned
 	}
@@ -612,10 +591,6 @@ func (db *DB) CreateTable(name string, schema *Schema) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if db.cfg.TupleMoverInterval > 0 {
-		t.StartTupleMover(db.cfg.TupleMoverInterval)
-	}
-	t.SetFailureObserver(db.state.Observe)
 	return &Table{t: t, db: db}, nil
 }
 
@@ -822,9 +797,7 @@ func (db *DB) Health() Health {
 	if st.Cause != nil {
 		h.Cause = st.Cause.Error()
 	}
-	if db.scrubber != nil {
-		h.LastScrub, h.ScrubPasses = db.scrubber.Last()
-	}
+	h.LastScrub, h.ScrubPasses = db.scrubber.Last()
 	for _, name := range db.cat.List() {
 		if t, err := db.cat.Get(name); err == nil {
 			h.Tables[name] = t.Health()

@@ -2,9 +2,12 @@ package apollo
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"apollo/internal/sched"
 )
 
 func openTest(t *testing.T) *DB {
@@ -73,27 +76,65 @@ func TestProgrammaticBulkLoad(t *testing.T) {
 	}
 }
 
+// A delta store closed by SQL inserts is moved on its kick: the scheduler's
+// clock never moves.
 func TestBackgroundTupleMoverViaSQL(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RowGroupSize = 100
 	cfg.BulkLoadThreshold = 1000
-	cfg.TupleMoverInterval = 2 * time.Millisecond
-	db := Open(cfg)
+	db := open(cfg, new(sched.Manual).Now)
 	defer db.Close()
 	db.MustExec("CREATE TABLE t (a BIGINT)")
 	for i := 0; i < 30; i++ {
 		db.MustExec("INSERT INTO t VALUES (1),(2),(3),(4),(5),(6),(7),(8),(9),(10)")
 	}
+	db.sched.Settle()
 	tb, _ := db.Table("t")
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if tb.Stats().CompressedRows == 300 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	if got := tb.Stats().CompressedRows; got != 300 {
 		t.Fatalf("tuple mover left %d compressed rows", got)
+	}
+	if !tb.Health().MoverRunning {
+		t.Fatal("mover job not reported running")
+	}
+	db.MustExec("DROP TABLE t")
+	if tb.Health().MoverRunning {
+		t.Fatal("dropped table's mover job still registered")
+	}
+}
+
+// An idle DB with the tuple mover and the scrubber on runs the same number
+// of background goroutines however many tables it has, and none once
+// closed.
+func TestIdleDBBackgroundGoroutines(t *testing.T) {
+	// atMost yields until at most want goroutines are left, giving the
+	// ones a stop has just released the moment they need to exit.
+	atMost := func(want int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 1000 && n > want; i++ {
+			runtime.Gosched()
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	var extra []int
+	for _, tables := range []int{1, 10, 40} {
+		base := runtime.NumGoroutine()
+		cfg := DefaultConfig()
+		cfg.TupleMoverInterval = time.Hour
+		cfg.ScrubInterval = time.Hour
+		db := Open(cfg)
+		for i := 0; i < tables; i++ {
+			db.MustExec(fmt.Sprintf("CREATE TABLE t%d (a BIGINT)", i))
+		}
+		extra = append(extra, runtime.NumGoroutine()-base)
+		db.Close()
+		if n := atMost(base); n > base {
+			t.Fatalf("%d goroutines after Close, %d before Open", n, base)
+		}
+	}
+	t.Logf("background goroutines with 1/10/40 tables: %v", extra)
+	if extra[0] != extra[1] || extra[1] != extra[2] {
+		t.Fatalf("background goroutines with 1/10/40 tables: %v, want one constant", extra)
 	}
 }
 

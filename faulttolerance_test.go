@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"apollo/internal/sched"
 )
 
 // typedFailure reports whether err is one of the structured error families
@@ -221,8 +223,9 @@ func TestChaosStorageFaults(t *testing.T) {
 func TestMoverSelfHealing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RowGroupSize = 200
-	cfg.TupleMoverInterval = 2 * time.Millisecond
-	db := Open(cfg)
+	cfg.TupleMoverInterval = time.Hour
+	clk := new(sched.Manual)
+	db := open(cfg, clk.Now)
 	defer db.Close()
 
 	schema := &Schema{Cols: []Column{{Name: "k", Typ: Int64}}}
@@ -238,18 +241,25 @@ func TestMoverSelfHealing(t *testing.T) {
 		}
 	}
 
-	var h TableHealth
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		h = tb.Health()
-		if h.Failures >= 2 {
-			break
+	// The kick runs the first attempt; each retry waits out the backoff,
+	// which doubles per failure.
+	db.sched.Settle()
+	var prev time.Duration
+	for want := int64(1); want <= 3; want++ {
+		h := tb.Health()
+		if h.Failures != want || h.Backoff <= prev || (prev > 0 && h.Backoff != 2*prev) {
+			t.Fatalf("after %d failures (previous backoff %v): %+v", want, prev, h)
 		}
-		time.Sleep(5 * time.Millisecond)
+		prev = h.Backoff
+		clk.Advance(h.Backoff - time.Nanosecond)
+		db.sched.Settle()
+		if got := tb.Health().Failures; got != want {
+			t.Fatalf("retried before the %v backoff passed: %d failures", h.Backoff, got)
+		}
+		clk.Advance(time.Nanosecond)
+		db.sched.Settle()
 	}
-	if h.Failures < 2 {
-		t.Fatalf("mover never reported failures: %+v", h)
-	}
+	h := tb.Health()
 	if !h.MoverRunning || h.ConsecutiveFailures == 0 || h.LastError == nil || h.Backoff == 0 {
 		t.Fatalf("unhealthy state not surfaced: %+v", h)
 	}
@@ -258,14 +268,9 @@ func TestMoverSelfHealing(t *testing.T) {
 	}
 
 	db.ClearStorageFaults()
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		h = tb.Health()
-		if h.ConsecutiveFailures == 0 && h.Moves >= 1 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	clk.Advance(h.Backoff)
+	db.sched.Settle()
+	h = tb.Health()
 	if h.ConsecutiveFailures != 0 || h.Moves < 1 || h.Backoff != 0 {
 		t.Fatalf("mover did not heal: %+v", h)
 	}

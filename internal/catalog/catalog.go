@@ -17,10 +17,10 @@ import (
 type Catalog struct {
 	store *storage.Store
 
-	mu     sync.RWMutex
-	tables map[string]*table.Table
-	wal    *wal.Writer
-	clock  table.Clock
+	mu      sync.RWMutex
+	tables  map[string]*table.Table
+	wal     *wal.Writer
+	onTable func(*table.Table) // see OnTable
 }
 
 // New creates an empty catalog backed by the given blob store.
@@ -37,15 +37,15 @@ func (c *Catalog) SetWAL(w *wal.Writer) {
 	c.wal = w
 }
 
-// SetClock attaches the transaction-timestamp clock to every current table
-// and every table created or installed afterwards. Without a clock, tables
-// run in the settled single-writer mode (tests, embedded use).
-func (c *Catalog) SetClock(clk table.Clock) {
+// OnTable runs fn, with the catalog locked (fn must not call back into it),
+// for every current table and every table created or installed afterwards.
+// The DB attaches its transaction clock and background jobs with it.
+func (c *Catalog) OnTable(fn func(*table.Table)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.clock = clk
+	c.onTable = fn
 	for _, t := range c.tables {
-		t.SetClock(clk)
+		fn(t)
 	}
 }
 
@@ -77,11 +77,7 @@ func (c *Catalog) Create(name string, schema *sqltypes.Schema, opts table.Option
 		}
 	}
 	t := table.New(c.store, name, schema, opts)
-	t.SetWAL(c.wal)
-	if c.clock != nil {
-		t.SetClock(c.clock)
-	}
-	c.tables[name] = t
+	c.addLocked(t)
 	return t, nil
 }
 
@@ -94,12 +90,17 @@ func (c *Catalog) Install(t *table.Table) error {
 	if _, ok := c.tables[t.Name]; ok {
 		return fmt.Errorf("catalog: table %s already exists", t.Name)
 	}
+	c.addLocked(t)
+	return nil
+}
+
+// addLocked attaches the WAL and the OnTable hook to t and registers it.
+func (c *Catalog) addLocked(t *table.Table) {
 	t.SetWAL(c.wal)
-	if c.clock != nil {
-		t.SetClock(c.clock)
+	if c.onTable != nil {
+		c.onTable(t)
 	}
 	c.tables[t.Name] = t
-	return nil
 }
 
 // Get returns the named table, or an error.
@@ -113,7 +114,7 @@ func (c *Catalog) Get(name string) (*table.Table, error) {
 	return t, nil
 }
 
-// Drop removes a table, stopping its tuple mover.
+// Drop removes a table and its tuple-mover job.
 func (c *Catalog) Drop(name string) error {
 	c.mu.Lock()
 	t, ok := c.tables[name]
@@ -129,7 +130,7 @@ func (c *Catalog) Drop(name string) error {
 	}
 	delete(c.tables, name)
 	c.mu.Unlock()
-	t.StopTupleMover()
+	t.Mover().Remove()
 	return nil
 }
 
@@ -143,17 +144,4 @@ func (c *Catalog) List() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Close stops all background tuple movers.
-func (c *Catalog) Close() {
-	c.mu.Lock()
-	tables := make([]*table.Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		tables = append(tables, t)
-	}
-	c.mu.Unlock()
-	for _, t := range tables {
-		t.StopTupleMover()
-	}
 }

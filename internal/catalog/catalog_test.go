@@ -1,8 +1,11 @@
 package catalog
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"apollo/internal/sched"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
 	"apollo/internal/table"
@@ -66,9 +69,31 @@ func TestListSorted(t *testing.T) {
 	}
 }
 
-func TestCloseStopsMovers(t *testing.T) {
+// The OnTable hook sees the tables already there and every later create;
+// dropping a table removes the mover job the hook registered for it.
+func TestOnTableAndDropManageMoverJobs(t *testing.T) {
 	c := New(storage.NewStore(0))
-	tb, _ := c.Create("t", schema(), table.DefaultOptions())
-	tb.StartTupleMover(1)
-	c.Close() // must stop the mover without hanging
+	if _, err := c.Create("old", schema(), table.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	s := sched.New(new(sched.Manual).Now)
+	defer s.Stop()
+	var added []string
+	c.OnTable(func(tb *table.Table) {
+		added = append(added, tb.Name)
+		s.Add(tb.MoverJob(time.Hour))
+	})
+	tb, err := c.Create("new", schema(), table.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(added) != "[old new]" || !tb.Health().MoverRunning {
+		t.Fatalf("hook saw %v; mover running %v", added, tb.Health().MoverRunning)
+	}
+	if err := c.Drop("new"); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Health().MoverRunning {
+		t.Fatal("dropped table's mover job still registered")
+	}
 }

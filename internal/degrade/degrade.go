@@ -15,6 +15,7 @@
 package degrade
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"apollo/internal/metrics"
+	"apollo/internal/sched"
 	"apollo/internal/wal"
 )
 
@@ -95,46 +97,59 @@ type Status struct {
 	Recovered       int64     // lifetime count of ReadOnly→Healthy recoveries
 }
 
-// State is the write-availability state machine. The zero value is not
-// usable; call New.
+// State is the write-availability state machine; its zero value is healthy.
 type State struct {
-	mu       sync.Mutex
-	mode     Mode
-	cause    error
-	since    time.Time
-	entered  int64
-	recov    int64
-	probe    func() error
-	interval time.Duration
-	probing  bool // a probe goroutine is running
-	closed   bool
-	stop     chan struct{} // closed by Close to stop any probe goroutine
+	mu      sync.Mutex
+	mode    Mode
+	cause   error
+	since   time.Time
+	entered int64
+	recov   int64
+	probe   *sched.Job // kicked on entering ReadOnly
 }
 
-// New returns a healthy state with no probe configured.
-func New() *State {
-	return &State{stop: make(chan struct{})}
-}
-
-// SetProbe installs the writability probe used to leave read-only mode. fn
-// should attempt a small real write+fsync (and consult any armed fault
-// injection) and return nil when writes would succeed. interval <= 0
-// defaults to 500ms.
-func (s *State) SetProbe(fn func() error, interval time.Duration) {
+// ProbeJob returns the write-probe as a scheduler job: while ReadOnly it
+// runs probe every interval (default 500ms) from the degrade on, and the
+// first success restores Healthy. probe should attempt a small real
+// write+fsync (and consult any armed fault injection).
+func (s *State) ProbeJob(probe func() error, interval time.Duration) *sched.Job {
 	if interval <= 0 {
 		interval = 500 * time.Millisecond
 	}
+	var from time.Time // when the wait for the next probe began
+	j := &sched.Job{Name: "write-probe", Run: func(context.Context) {
+		if s.Mode() != ReadOnly {
+			return
+		}
+		mProbes.Inc()
+		if probe() != nil {
+			return // still failing; stay read-only
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.mode == ReadOnly {
+			s.mode, s.cause, s.since = Healthy, nil, time.Now()
+			s.recov++
+			mRecovered.Inc()
+			mMode.Set(float64(Healthy))
+		}
+	}}
+	j.Due = func(now, last time.Time, _ bool) time.Time {
+		switch {
+		case s.Mode() != ReadOnly:
+			from = time.Time{}
+			return from
+		case from.IsZero():
+			from = now
+		case last.After(from):
+			from = last
+		}
+		return from.Add(interval)
+	}
 	s.mu.Lock()
-	s.probe = fn
-	s.interval = interval
-	restart := s.mode == ReadOnly && !s.probing && !s.closed
-	if restart {
-		s.probing = true
-	}
+	s.probe = j
 	s.mu.Unlock()
-	if restart {
-		go s.probeLoop()
-	}
+	return j
 }
 
 // Gate is the one write gate every write entry point passes through: it
@@ -226,7 +241,7 @@ func (s *State) Poison(cause error) {
 }
 
 // EnterReadOnly degrades the database to read-only on disk exhaustion and
-// starts the recovery probe (if configured). No-op when already read-only
+// kicks the write-probe job (if one was made). No-op when already read-only
 // or poisoned.
 func (s *State) EnterReadOnly(cause error) {
 	s.mu.Lock()
@@ -238,61 +253,11 @@ func (s *State) EnterReadOnly(cause error) {
 	s.cause = cause
 	s.since = time.Now()
 	s.entered++
-	startProbe := s.probe != nil && !s.probing && !s.closed
-	if startProbe {
-		s.probing = true
-	}
+	probe := s.probe
 	s.mu.Unlock()
 	mReadOnlyEntered.Inc()
 	mMode.Set(float64(ReadOnly))
-	if startProbe {
-		go s.probeLoop()
-	}
-}
-
-// probeLoop periodically retries the write probe while read-only and flips
-// the state back to healthy on the first success. It exits when the state
-// leaves ReadOnly (recovery, poison, or Close).
-func (s *State) probeLoop() {
-	s.mu.Lock()
-	interval := s.interval
-	s.mu.Unlock()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	defer func() {
-		s.mu.Lock()
-		s.probing = false
-		s.mu.Unlock()
-	}()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-		}
-		s.mu.Lock()
-		if s.mode != ReadOnly || s.closed {
-			s.mu.Unlock()
-			return
-		}
-		probe := s.probe
-		s.mu.Unlock()
-		mProbes.Inc()
-		if probe() != nil {
-			continue // still failing; stay read-only
-		}
-		s.mu.Lock()
-		if s.mode == ReadOnly {
-			s.mode = Healthy
-			s.cause = nil
-			s.since = time.Now()
-			s.recov++
-			mRecovered.Inc()
-			mMode.Set(float64(Healthy))
-		}
-		s.mu.Unlock()
-		return
-	}
+	probe.Kick()
 }
 
 // Snapshot returns the current status.
@@ -300,14 +265,4 @@ func (s *State) Snapshot() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Status{Mode: s.mode, Cause: s.cause, Since: s.since, ReadOnlyEntered: s.entered, Recovered: s.recov}
-}
-
-// Close stops the probe goroutine. The state itself stays readable.
-func (s *State) Close() {
-	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.stop)
-	}
-	s.mu.Unlock()
 }

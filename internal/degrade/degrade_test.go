@@ -8,12 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/sched"
 	"apollo/internal/wal"
 )
 
 func TestHealthyAllowsWrites(t *testing.T) {
-	s := New()
-	defer s.Close()
+	s := new(State)
 	if err := s.check(); err != nil {
 		t.Fatalf("healthy check: %v", err)
 	}
@@ -22,17 +22,36 @@ func TestHealthyAllowsWrites(t *testing.T) {
 	}
 }
 
+// probeSched runs s's write-probe every interval on a manual clock.
+func probeSched(t *testing.T, s *State, probe func() error, interval time.Duration) (*sched.Manual, *sched.Scheduler) {
+	t.Helper()
+	clk := new(sched.Manual)
+	sc := sched.New(clk.Now)
+	t.Cleanup(sc.Stop)
+	sc.Add(s.ProbeJob(probe, interval))
+	sc.Settle()
+	return clk, sc
+}
+
 func TestENOSPCEntersReadOnlyAndProbeRecovers(t *testing.T) {
-	s := New()
-	defer s.Close()
+	s := new(State)
 	var full atomic.Bool
+	var probes atomic.Int64
 	full.Store(true)
-	s.SetProbe(func() error {
+	clk, sc := probeSched(t, s, func() error {
+		probes.Add(1)
 		if full.Load() {
 			return fmt.Errorf("probe: %w", syscall.ENOSPC)
 		}
 		return nil
-	}, time.Millisecond)
+	}, time.Second)
+
+	// Healthy: the probe never runs, however much time passes.
+	clk.Advance(time.Hour)
+	sc.Settle()
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("%d probes while healthy", n)
+	}
 
 	s.Observe(fmt.Errorf("append: %w", syscall.ENOSPC))
 	err := s.check()
@@ -47,20 +66,31 @@ func TestENOSPCEntersReadOnlyAndProbeRecovers(t *testing.T) {
 		t.Fatalf("ReadOnlyError does not unwrap to ENOSPC: %v", err)
 	}
 
-	// Stays read-only while the probe keeps failing.
-	time.Sleep(20 * time.Millisecond)
+	// The first probe comes one interval after the degrade, the next one
+	// interval after that; while they fail the state stays read-only.
+	sc.Settle()
+	clk.Advance(time.Second - time.Millisecond)
+	sc.Settle()
+	if n := probes.Load(); n != 0 {
+		t.Fatalf("%d probes before one interval passed", n)
+	}
+	for want := int64(1); want <= 2; want++ {
+		clk.Advance(time.Second)
+		sc.Settle()
+		if n := probes.Load(); n != want {
+			t.Fatalf("probes = %d, want %d", n, want)
+		}
+	}
 	if s.Mode() != ReadOnly {
 		t.Fatalf("mode %v while probe failing, want ReadOnly", s.Mode())
 	}
 
-	// Free space; the probe flips it back.
+	// Free space; the next probe flips it back, and probing stops.
 	full.Store(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Mode() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatal("state never recovered after probe success")
-		}
-		time.Sleep(time.Millisecond)
+	clk.Advance(time.Second)
+	sc.Settle()
+	if s.Mode() != Healthy {
+		t.Fatal("state did not recover after probe success")
 	}
 	if err := s.check(); err != nil {
 		t.Fatalf("check after recovery: %v", err)
@@ -69,12 +99,16 @@ func TestENOSPCEntersReadOnlyAndProbeRecovers(t *testing.T) {
 	if st.ReadOnlyEntered != 1 || st.Recovered != 1 {
 		t.Fatalf("transition counts entered=%d recovered=%d, want 1/1", st.ReadOnlyEntered, st.Recovered)
 	}
+	clk.Advance(time.Hour)
+	sc.Settle()
+	if n := probes.Load(); n != 3 {
+		t.Fatalf("probes = %d after recovery, want 3", n)
+	}
 }
 
 func TestPoisonIsPermanentAndOverridesReadOnly(t *testing.T) {
-	s := New()
-	defer s.Close()
-	s.SetProbe(func() error { return nil }, time.Millisecond)
+	s := new(State)
+	clk, sc := probeSched(t, s, func() error { return nil }, time.Millisecond)
 
 	s.EnterReadOnly(fmt.Errorf("blob put: %w", syscall.ENOSPC))
 	cause := &wal.PoisonedError{Cause: errors.New("fsync EIO")}
@@ -87,15 +121,15 @@ func TestPoisonIsPermanentAndOverridesReadOnly(t *testing.T) {
 		t.Fatalf("check after poison: got %v, want ErrPoisoned", err)
 	}
 	// The always-succeeding probe must NOT recover a poisoned state.
-	time.Sleep(20 * time.Millisecond)
+	clk.Advance(time.Second)
+	sc.Settle()
 	if s.Mode() != Poisoned {
 		t.Fatalf("probe recovered a poisoned state: mode %v", s.Mode())
 	}
 }
 
 func TestObserveIgnoresOrdinaryErrors(t *testing.T) {
-	s := New()
-	defer s.Close()
+	s := new(State)
 	s.Observe(nil)
 	s.Observe(errors.New("syntax error"))
 	s.Observe(errors.New("write conflict"))
@@ -105,17 +139,14 @@ func TestObserveIgnoresOrdinaryErrors(t *testing.T) {
 }
 
 func TestProbeInstalledAfterDegradeStillRecovers(t *testing.T) {
-	s := New()
-	defer s.Close()
+	s := new(State)
 	s.EnterReadOnly(fmt.Errorf("x: %w", syscall.ENOSPC))
-	// Probe configured only after the degrade: SetProbe must start it.
-	s.SetProbe(func() error { return nil }, time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Mode() != Healthy {
-		if time.Now().After(deadline) {
-			t.Fatal("late-installed probe never recovered the state")
-		}
-		time.Sleep(time.Millisecond)
+	// Probe job made only after the degrade: it must still run.
+	clk, sc := probeSched(t, s, func() error { return nil }, time.Millisecond)
+	clk.Advance(time.Millisecond)
+	sc.Settle()
+	if s.Mode() != Healthy {
+		t.Fatalf("late-installed probe never recovered the state: mode %v", s.Mode())
 	}
 }
 
@@ -130,8 +161,7 @@ func TestGateChecksRunsObservesAndSurfaces(t *testing.T) {
 		t.Fatalf("nil Report: got %v, want the error unchanged", err)
 	}
 
-	s := New()
-	defer s.Close()
+	s := new(State)
 	if err := s.Gate(func() error { return plain }); err != plain {
 		t.Fatalf("ordinary write error: got %v, want it unchanged", err)
 	}

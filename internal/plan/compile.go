@@ -56,7 +56,8 @@ type Options struct {
 	MemoryBudget int64
 	SpillStore   *storage.Store
 
-	// Ablation switches for the experiment harness.
+	// Ablation switches: TestPaperClaims and the plan and optimizer tests
+	// turn one feature off to compare against the default.
 	NoSegmentElimination bool // disable min/max segment skipping + range pushdown
 	NoBloom              bool // disable bitmap filter placement
 	NoBuildSideSwap      bool // keep joins as written (also disables reordering)

@@ -18,6 +18,7 @@ import (
 
 	"apollo/internal/catalog"
 	"apollo/internal/metrics"
+	"apollo/internal/sched"
 	"apollo/internal/storage"
 	"apollo/internal/table"
 	"apollo/internal/wal"
@@ -45,24 +46,6 @@ var (
 // monopolize memory bandwidth.
 const DefaultBytesPerSec = 256 << 20
 
-// Options configure a Scrubber.
-type Options struct {
-	// Interval is the pause between background passes (default 1 minute).
-	Interval time.Duration
-	// BytesPerSec caps verification throughput (default DefaultBytesPerSec).
-	BytesPerSec int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = time.Minute
-	}
-	if o.BytesPerSec <= 0 {
-		o.BytesPerSec = DefaultBytesPerSec
-	}
-	return o
-}
-
 // Report summarizes one scrub pass.
 type Report struct {
 	Started  time.Time
@@ -88,11 +71,11 @@ type Report struct {
 
 // Scrubber walks a store (and its owning catalog, for per-table attribution
 // and WAL coverage) verifying integrity. Create with New; run passes
-// manually with RunPass or in the background with Start.
+// manually with RunPass or in the background as a scheduler Job.
 type Scrubber struct {
 	store *storage.Store
 	cat   *catalog.Catalog
-	opts  Options
+	bps   int64 // default pacing budget
 
 	// walDir and walBelow scope WAL verification: segments with sequence
 	// below walBelow() in walDir are closed and immutable. Empty walDir
@@ -103,21 +86,22 @@ type Scrubber struct {
 	// checkpointing rotates the log and truncates the damaged history away.
 	checkpoint func() error
 
-	mu      sync.Mutex
-	last    *Report
-	passes  int64
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
+	mu     sync.Mutex
+	last   *Report
+	passes int64
 }
 
 // New builds a scrubber. cat may be nil (no per-table attribution); walDir
 // may be "" (no WAL verification); checkpoint may be nil (report only).
-func New(store *storage.Store, cat *catalog.Catalog, walDir string, walBelow func() uint64, checkpoint func() error, opts Options) *Scrubber {
+// bytesPerSec caps verification throughput (<= 0: DefaultBytesPerSec).
+func New(store *storage.Store, cat *catalog.Catalog, walDir string, walBelow func() uint64, checkpoint func() error, bytesPerSec int64) *Scrubber {
+	if bytesPerSec <= 0 {
+		bytesPerSec = DefaultBytesPerSec
+	}
 	return &Scrubber{
 		store:      store,
 		cat:        cat,
-		opts:       opts.withDefaults(),
+		bps:        bytesPerSec,
 		walDir:     walDir,
 		walBelow:   walBelow,
 		checkpoint: checkpoint,
@@ -149,7 +133,7 @@ func (s *Scrubber) blobOwners() map[uint64][]*table.Table {
 // configured byte budget. Concurrent queries keep running; repairs and
 // quarantines are applied through the store's own synchronization.
 func (s *Scrubber) RunPass(ctx context.Context) (*Report, error) {
-	return s.RunPassPaced(ctx, s.opts.BytesPerSec)
+	return s.RunPassPaced(ctx, s.bps)
 }
 
 // RunPassPaced is RunPass at an explicit byte budget for this pass only.
@@ -245,51 +229,11 @@ func (s *Scrubber) Last() (*Report, int64) {
 	return s.last, s.passes
 }
 
-// Start launches the background loop: one pass per interval. No-op if
-// already running.
-func (s *Scrubber) Start() {
-	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
-		return
+// Job returns the scrubber as a scheduler job: one RunPass per interval.
+func (s *Scrubber) Job(interval time.Duration) *sched.Job {
+	return &sched.Job{
+		Name: "scrub",
+		Due:  func(_, last time.Time, _ bool) time.Time { return last.Add(interval) },
+		Run:  func(ctx context.Context) { s.RunPass(ctx) }, //nolint:errcheck — pass errors land in the report
 	}
-	s.running = true
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(s.opts.Interval)
-		defer t.Stop()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		go func() {
-			<-stop
-			cancel()
-		}()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.RunPass(ctx) //nolint:errcheck — pass errors land in the report
-			}
-		}
-	}()
-}
-
-// Stop halts the background loop (cancelling any in-flight pass) and waits
-// for it to exit. No-op if not running.
-func (s *Scrubber) Stop() {
-	s.mu.Lock()
-	if !s.running {
-		s.mu.Unlock()
-		return
-	}
-	s.running = false
-	stop, done := s.stop, s.done
-	s.mu.Unlock()
-	close(stop)
-	<-done
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/sched"
 	"apollo/internal/storage"
 	"apollo/internal/wal"
 )
@@ -58,7 +59,7 @@ func TestRunPassRepairsAndQuarantines(t *testing.T) {
 	}
 	corruptFile(t, b.Path(doomed))
 
-	sc := New(s, nil, "", nil, nil, Options{})
+	sc := New(s, nil, "", nil, nil, 0)
 	rep, err := sc.RunPass(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +125,7 @@ func TestRunPassVerifiesWALAndSelfHeals(t *testing.T) {
 
 	var healed atomic.Int64
 	sc := New(s, nil, dir, func() uint64 { return w.Stat().Seq },
-		func() error { healed.Add(1); return nil }, Options{})
+		func() error { healed.Add(1); return nil }, 0)
 
 	rep, err := sc.RunPass(context.Background())
 	if err != nil {
@@ -164,28 +165,29 @@ func TestRunPassVerifiesWALAndSelfHeals(t *testing.T) {
 	}
 }
 
+// The scrub job runs one pass per interval of the scheduler's clock, and
+// none once the scheduler has stopped.
 func TestBackgroundLoopRunsAndStops(t *testing.T) {
 	s, _ := newBackedStore(t)
 	if _, err := s.Put([]byte("background-blob"), storage.None); err != nil {
 		t.Fatal(err)
 	}
-	sc := New(s, nil, "", nil, nil, Options{Interval: 5 * time.Millisecond})
-	sc.Start()
-	sc.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, passes := sc.Last(); passes >= 2 {
-			break
+	sc := New(s, nil, "", nil, nil, 0)
+	clk := new(sched.Manual)
+	bg := sched.New(clk.Now)
+	bg.Add(sc.Job(time.Minute))
+	bg.Settle()
+	for want := int64(0); want <= 2; want++ {
+		if _, passes := sc.Last(); passes != want {
+			t.Fatalf("passes = %d, want %d", passes, want)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never completed two passes")
-		}
-		time.Sleep(time.Millisecond)
+		clk.Advance(time.Minute)
+		bg.Settle()
 	}
-	sc.Stop()
-	sc.Stop() // idempotent
+	bg.Stop()
+	bg.Stop() // idempotent
 	_, after := sc.Last()
-	time.Sleep(20 * time.Millisecond)
+	clk.Advance(time.Hour)
 	if _, now := sc.Last(); now != after {
 		t.Fatal("passes advanced after Stop")
 	}
@@ -200,7 +202,7 @@ func TestPacingThrottles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc := New(s, nil, "", nil, nil, Options{BytesPerSec: 64 << 10})
+	sc := New(s, nil, "", nil, nil, 64<<10)
 	startT := time.Now()
 	rep, err := sc.RunPass(context.Background())
 	if err != nil {

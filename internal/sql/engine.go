@@ -25,9 +25,6 @@ type Engine struct {
 	Cat       *catalog.Catalog
 	PlanOpts  plan.Options
 	TableOpts table.Options
-	// OnCreate, when set, runs for every table created via SQL (the public
-	// API uses it to start background tuple movers).
-	OnCreate func(*table.Table)
 	// Txns, when set, enables transactions: sessions can BEGIN/COMMIT/
 	// ROLLBACK, and autocommit SELECTs pin a consistent cross-table snapshot.
 	Txns *txn.Manager
@@ -351,12 +348,8 @@ func (e *Engine) createTable(ct *CreateTable) (*Result, error) {
 	if ct.NoReorder {
 		opts.Columnstore.Reorder = false
 	}
-	t, err := e.Cat.Create(ct.Name, sqltypes.NewSchema(ct.Cols...), opts)
-	if err != nil {
+	if _, err := e.Cat.Create(ct.Name, sqltypes.NewSchema(ct.Cols...), opts); err != nil {
 		return nil, err
-	}
-	if e.OnCreate != nil {
-		e.OnCreate(t)
 	}
 	return &Result{Message: fmt.Sprintf("created table %s", ct.Name)}, nil
 }

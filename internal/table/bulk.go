@@ -121,7 +121,7 @@ func (t *Table) insertBatch(ctx context.Context, rows []sqltypes.Row) error {
 	t.finishWrite(wc)
 	t.mu.Unlock()
 	if closedAny {
-		t.kickMover()
+		t.mover.Load().Kick()
 	}
 	if err != nil {
 		return err

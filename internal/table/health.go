@@ -21,7 +21,7 @@ const (
 // stay queryable from the delta store in the meantime, so the condition is
 // degraded, not lossy.
 type Health struct {
-	MoverRunning        bool          // background tuple mover is active
+	MoverRunning        bool          // a tuple-mover job is registered with a scheduler
 	Moves               int64         // delta stores successfully compressed
 	Failures            int64         // total MoveOnce errors observed
 	ConsecutiveFailures int           // failures since the last success
@@ -71,9 +71,8 @@ func (h *moverHealth) recordSuccess() {
 	mMoverConsecFailures.Set(0)
 }
 
-// recordFailure notes one MoveOnce error and returns the backoff the caller
-// should wait before retrying.
-func (h *moverHealth) recordFailure(err error) time.Duration {
+// recordFailure notes one MoveOnce error and doubles the retry backoff.
+func (h *moverHealth) recordFailure(err error) {
 	h.mu.Lock()
 	h.failures++
 	h.consecutive++
@@ -98,7 +97,6 @@ func (h *moverHealth) recordFailure(err error) time.Duration {
 	if obs != nil {
 		obs(err)
 	}
-	return d
 }
 
 func (h *moverHealth) snapshot(running bool) Health {
@@ -120,10 +118,7 @@ func (h *moverHealth) snapshot(running bool) Health {
 
 // Health returns a snapshot of the table's tuple-mover health.
 func (t *Table) Health() Health {
-	t.mu.RLock()
-	running := t.mover != nil
-	t.mu.RUnlock()
-	return t.health.snapshot(running)
+	return t.health.snapshot(t.mover.Load().Scheduled())
 }
 
 // SetFailureObserver installs fn to see every MoveOnce failure (called

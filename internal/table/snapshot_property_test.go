@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/sched"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
 	"apollo/internal/wal"
@@ -68,8 +69,9 @@ func TestSnapshotInvariantsUnderConcurrentDML(t *testing.T) {
 		BulkLoadThreshold: 1 << 20,
 		Columnstore:       DefaultOptions().Columnstore,
 	})
-	tb.StartTupleMover(100 * time.Microsecond)
-	defer tb.StopTupleMover()
+	sc := sched.New(time.Now)
+	defer sc.Stop()
+	sc.Add(tb.MoverJob(100 * time.Microsecond))
 
 	const total = 2000
 	var mu sync.Mutex

@@ -7,14 +7,17 @@
 package table
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"apollo/internal/colstore"
 	"apollo/internal/delta"
+	"apollo/internal/sched"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
 	"apollo/internal/wal"
@@ -97,7 +100,7 @@ type Table struct {
 	// change, so per-table log order equals apply order.
 	wal *wal.Writer
 
-	mover  *mover
+	mover  atomic.Pointer[sched.Job] // set by MoverJob
 	health moverHealth
 
 	// moverTestHookAfterBuild, when set, runs in MoveOnce after the row group
@@ -235,7 +238,7 @@ func (t *Table) InsertTxn(tx TxnRef, row sqltypes.Row) (Locator, error) {
 		return Locator{}, err
 	}
 	if closedNow {
-		t.kickMover()
+		t.mover.Load().Kick()
 	}
 	return loc, nil
 }
@@ -961,92 +964,30 @@ func (t *Table) FlushOpen() error {
 	return t.MoveAll()
 }
 
-type mover struct {
-	kick chan struct{}
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartTupleMover launches the background tuple mover, which wakes on a timer
-// and whenever a delta store closes.
-func (t *Table) StartTupleMover(interval time.Duration) {
-	t.mu.Lock()
-	if t.mover != nil {
-		t.mu.Unlock()
-		return
-	}
-	m := &mover{kick: make(chan struct{}, 1), stop: make(chan struct{}), done: make(chan struct{})}
-	t.mover = m
-	t.mu.Unlock()
-
-	go func() {
-		defer close(m.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-m.stop:
-				return
-			case <-ticker.C:
-			case <-m.kick:
+// MoverJob returns the table's tuple mover as a scheduler job, kicked when
+// a delta store closes. It is due on a kick or every interval, but after a
+// failed move only once the health backoff has passed. A run is MoveAll.
+func (t *Table) MoverJob(interval time.Duration) *sched.Job {
+	j := &sched.Job{
+		Name: "tuple mover " + t.Name,
+		Due: func(now, last time.Time, kicked bool) time.Time {
+			if b := t.health.snapshot(false).Backoff; b > 0 {
+				return last.Add(b)
 			}
-			if !t.drainClosed(m) {
-				return
+			if kicked {
+				return now
 			}
-		}
-	}()
+			return last.Add(interval)
+		},
+		// A failed move is recorded in Health and sets the backoff.
+		Run: func(context.Context) { _ = t.MoveAll() },
+	}
+	t.mover.Store(j)
+	return j
 }
 
-// drainClosed moves closed delta stores until none remain, retrying failures
-// with exponential backoff (the self-healing path: MoveOnce re-queues the
-// store, its error lands in the health struct, and the next attempt waits
-// out the current backoff). Returns false if the mover was stopped while
-// waiting.
-func (t *Table) drainClosed(m *mover) bool {
-	for {
-		moved, err := t.MoveOnce()
-		if err == nil {
-			if !moved {
-				return true
-			}
-			continue
-		}
-		// MoveOnce recorded the failure; wait out the backoff it chose,
-		// staying responsive to StopTupleMover.
-		timer := time.NewTimer(t.health.snapshot(true).Backoff)
-		select {
-		case <-m.stop:
-			timer.Stop()
-			return false
-		case <-timer.C:
-		}
-	}
-}
-
-// StopTupleMover stops the background tuple mover and waits for it to exit.
-func (t *Table) StopTupleMover() {
-	t.mu.Lock()
-	m := t.mover
-	t.mover = nil
-	t.mu.Unlock()
-	if m == nil {
-		return
-	}
-	close(m.stop)
-	<-m.done
-}
-
-func (t *Table) kickMover() {
-	t.mu.RLock()
-	m := t.mover
-	t.mu.RUnlock()
-	if m != nil {
-		select {
-		case m.kick <- struct{}{}:
-		default:
-		}
-	}
-}
+// Mover returns the job MoverJob attached, or nil.
+func (t *Table) Mover() *sched.Job { return t.mover.Load() }
 
 // Rebuild recompresses the whole table (ALTER INDEX ... REBUILD in §4):
 // deleted rows are physically removed, delta rows are folded into compressed

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"apollo/internal/sched"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
 )
@@ -257,21 +258,20 @@ func TestMoveOnceReplaysDeleteBuffer(t *testing.T) {
 	}
 }
 
+// The mover job moves every closed delta store on its kick, with the clock
+// standing still, and Health reports it running while it is registered.
 func TestBackgroundTupleMover(t *testing.T) {
 	tb := newTable(t)
-	tb.StartTupleMover(5 * time.Millisecond)
-	defer tb.StopTupleMover()
+	sc := sched.New(new(sched.Manual).Now)
+	defer sc.Stop()
+	sc.Add(tb.MoverJob(time.Hour))
+	if !tb.Health().MoverRunning {
+		t.Fatal("registered mover job not reported running")
+	}
 	for i := 0; i < 500; i++ {
 		tb.Insert(mkRow(int64(i)))
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		st := tb.Stat()
-		if st.CompressedRows == 500 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	sc.Settle()
 	st := tb.Stat()
 	if st.CompressedRows != 500 {
 		t.Fatalf("mover did not drain: %+v", st)
@@ -279,12 +279,17 @@ func TestBackgroundTupleMover(t *testing.T) {
 	if tb.Rows() != 500 {
 		t.Fatalf("Rows = %d", tb.Rows())
 	}
+	tb.Mover().Remove()
+	if tb.Health().MoverRunning {
+		t.Fatal("removed mover job still reported running")
+	}
 }
 
 func TestConcurrentInsertQueryMove(t *testing.T) {
 	tb := newTable(t)
-	tb.StartTupleMover(time.Millisecond)
-	defer tb.StopTupleMover()
+	sc := sched.New(time.Now)
+	defer sc.Stop()
+	sc.Add(tb.MoverJob(time.Millisecond))
 
 	const writers = 4
 	const perWriter = 500

@@ -41,7 +41,7 @@ func TestGenSSBShape(t *testing.T) {
 	}
 }
 
-func newSSBEngine(t *testing.T, mode plan.Mode, sf float64) *sql.Engine {
+func newSSBEngine(t *testing.T, sf float64) *sql.Engine {
 	t.Helper()
 	cat := catalog.New(storage.NewStore(storage.DefaultBufferPoolBytes))
 	opts := table.DefaultOptions()
@@ -50,43 +50,13 @@ func newSSBEngine(t *testing.T, mode plan.Mode, sf float64) *sql.Engine {
 	if err := LoadSSB(cat, GenSSB(sf, 7), opts); err != nil {
 		t.Fatal(err)
 	}
-	return &sql.Engine{Cat: cat, PlanOpts: plan.Options{Mode: mode}, TableOpts: opts}
-}
-
-func TestSSBQueriesRunAndModesAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	e14 := newSSBEngine(t, plan.Mode2014, 0.1)
-	eRow := newSSBEngine(t, plan.ModeRow, 0.1)
-	all := append(SSBQueries(), RepertoireQueries()...)
-	for _, q := range all {
-		r14, err := e14.Exec(q.SQL)
-		if err != nil {
-			t.Fatalf("%s (batch): %v", q.Name, err)
-		}
-		rRow, err := eRow.Exec(q.SQL)
-		if err != nil {
-			t.Fatalf("%s (row): %v", q.Name, err)
-		}
-		if len(r14.Rows) != len(rRow.Rows) {
-			t.Fatalf("%s: %d vs %d rows", q.Name, len(r14.Rows), len(rRow.Rows))
-		}
-		// Ordered queries compare row-by-row; unordered (scalar) ones too
-		// since they have a single row.
-		for i := range r14.Rows {
-			a, b := r14.Rows[i].String(), rRow.Rows[i].String()
-			if a != b && orderedQuery(q.SQL) {
-				t.Fatalf("%s: row %d: %s vs %s", q.Name, i, a, b)
-			}
-		}
-	}
+	return &sql.Engine{Cat: cat, PlanOpts: plan.Options{Mode: plan.Mode2014}, TableOpts: opts}
 }
 
 // Every SSB dimension key is a dense integer range, so every bitmap filter
 // the flight suite's hash joins publish is an exact range bitmap.
 func TestSSBPublishesOnlyExactFilters(t *testing.T) {
-	e := newSSBEngine(t, plan.Mode2014, 0.1)
+	e := newSSBEngine(t, 0.1)
 	const exact, bloom = `apollo_hashjoin_bitmap_filters_total{kind="exact"}`, `apollo_hashjoin_bitmap_filters_total{kind="bloom"}`
 	for _, q := range SSBQueries() {
 		before := metrics.Default.Snapshot()
@@ -101,10 +71,6 @@ func TestSSBPublishesOnlyExactFilters(t *testing.T) {
 			t.Fatalf("%s published no exact filter", q.Name)
 		}
 	}
-}
-
-func orderedQuery(sql string) bool {
-	return len(sql) > 0 // all suite queries are ordered or single-row
 }
 
 func TestCompressionDatasets(t *testing.T) {
