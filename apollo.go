@@ -142,11 +142,13 @@ type Config struct {
 	// Durability (OpenDir only; Open ignores these).
 
 	// FsyncPolicy selects the WAL fsync discipline: "always" (default —
-	// group commit, zero loss), "interval" (timer-driven, bounded loss), or
-	// "off" (page cache only).
+	// group commit, zero loss), "interval" (a background flush, bounded
+	// loss), or "off" (page cache only).
 	FsyncPolicy string
-	// FsyncInterval is the flush period under FsyncPolicy "interval"
-	// (default 10ms).
+	// FsyncInterval is the pause between background flushes under
+	// FsyncPolicy "interval" (default 10ms), counted from the end of one
+	// flush to the start of the next. A crash loses at most the writes
+	// acknowledged in the last FsyncInterval plus two fsync durations.
 	FsyncInterval time.Duration
 	// WALSegmentBytes rotates WAL segment files at this size (default 16 MiB).
 	WALSegmentBytes int64
@@ -319,6 +321,9 @@ func newDB(cfg Config, store *storage.Store, cat *catalog.Catalog, w *wal.Writer
 	}
 	db.sched = sched.New(now)
 	db.sched.Add(db.state.ProbeJob(db.writeProbe, db.cfg.ProbeInterval))
+	if w != nil && w.Policy() == wal.FsyncInterval {
+		db.sched.Add(w.FlushJob())
+	}
 
 	walDir := ""
 	var below func() uint64

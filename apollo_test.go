@@ -2,6 +2,7 @@ package apollo
 
 import (
 	"fmt"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -102,39 +103,73 @@ func TestBackgroundTupleMoverViaSQL(t *testing.T) {
 	}
 }
 
+// moduleGoroutines counts the goroutines running this module's code, the
+// caller's own excepted. The testing package's goroutines come and go
+// between tests (-count=N), so runtime.NumGoroutine would blur the count.
+func moduleGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		if moduleFrame.MatchString(g) {
+			count++
+		}
+	}
+	return count
+}
+
+var moduleFrame = regexp.MustCompile(`(?m)^apollo[./]`)
+
 // An idle DB with the tuple mover and the scrubber on runs the same number
 // of background goroutines however many tables it has, and none once
-// closed.
+// closed; a durable DB flushing its WAL on an interval runs no more.
 func TestIdleDBBackgroundGoroutines(t *testing.T) {
 	// atMost yields until at most want goroutines are left, giving the
 	// ones a stop has just released the moment they need to exit.
 	atMost := func(want int) int {
-		n := runtime.NumGoroutine()
+		n := moduleGoroutines()
 		for i := 0; i < 1000 && n > want; i++ {
 			runtime.Gosched()
-			n = runtime.NumGoroutine()
+			n = moduleGoroutines()
 		}
 		return n
 	}
+	legs := []struct {
+		tables int
+		fsync  string // "" opens in memory
+	}{{1, ""}, {10, ""}, {40, ""}, {1, "interval"}}
 	var extra []int
-	for _, tables := range []int{1, 10, 40} {
-		base := runtime.NumGoroutine()
+	for _, leg := range legs {
+		base := moduleGoroutines()
 		cfg := DefaultConfig()
 		cfg.TupleMoverInterval = time.Hour
 		cfg.ScrubInterval = time.Hour
-		db := Open(cfg)
-		for i := 0; i < tables; i++ {
+		var db *DB
+		if leg.fsync == "" {
+			db = Open(cfg)
+		} else {
+			cfg.FsyncPolicy = leg.fsync
+			var err error
+			if db, err = OpenDir(t.TempDir(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < leg.tables; i++ {
 			db.MustExec(fmt.Sprintf("CREATE TABLE t%d (a BIGINT)", i))
 		}
-		extra = append(extra, runtime.NumGoroutine()-base)
+		extra = append(extra, moduleGoroutines()-base)
 		db.Close()
 		if n := atMost(base); n > base {
 			t.Fatalf("%d goroutines after Close, %d before Open", n, base)
 		}
 	}
-	t.Logf("background goroutines with 1/10/40 tables: %v", extra)
-	if extra[0] != extra[1] || extra[1] != extra[2] {
-		t.Fatalf("background goroutines with 1/10/40 tables: %v, want one constant", extra)
+	t.Logf("background goroutines with 1/10/40 tables in memory, 1 table at fsync interval: %v", extra)
+	for _, n := range extra[1:] {
+		if n != extra[0] {
+			t.Fatalf("background goroutines with 1/10/40 tables in memory, 1 table at fsync interval: %v, want one constant", extra)
+		}
 	}
 }
 

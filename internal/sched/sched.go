@@ -100,6 +100,10 @@ func New(now func() time.Time) *Scheduler {
 	return s
 }
 
+// Now reads the scheduler's clock, for callers that stamp times its jobs
+// compare against.
+func (s *Scheduler) Now() time.Time { return s.now() }
+
 // Add registers j; its first interval counts from now. Add does nothing
 // after Stop.
 func (s *Scheduler) Add(j *Job) {

@@ -195,14 +195,17 @@ func TestStopWaitsForEveryRun(t *testing.T) {
 	}
 }
 
-// The manual clock moves only on Advance.
+// The manual clock moves only on Advance, and the scheduler reads it.
 func TestManualClock(t *testing.T) {
-	var clk Manual
+	clk, s := newManual(t)
 	if !clk.Now().Equal(time.Unix(0, 0)) {
 		t.Fatalf("zero clock reads %v", clk.Now())
 	}
 	clk.Advance(time.Second)
 	if !clk.Now().Equal(time.Unix(1, 0)) {
 		t.Fatalf("clock reads %v after advancing 1s from the epoch", clk.Now())
+	}
+	if !s.Now().Equal(clk.Now()) {
+		t.Fatalf("scheduler reads %v, its clock %v", s.Now(), clk.Now())
 	}
 }

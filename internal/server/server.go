@@ -33,6 +33,7 @@ import (
 	"apollo"
 	"apollo/internal/metrics"
 	"apollo/internal/qerr"
+	"apollo/internal/sched"
 	"apollo/internal/server/broker"
 	"apollo/internal/server/tenant"
 	"apollo/internal/sqltypes"
@@ -56,7 +57,8 @@ type Config struct {
 	Limits broker.Limits
 	// MaxOpenTenants bounds simultaneously open tenant databases (0 = all).
 	MaxOpenTenants int
-	// IdleTenantTimeout closes tenant databases with no traffic (0 = never).
+	// IdleTenantTimeout closes tenant databases with no traffic (0 = never),
+	// checked every quarter of it, but at most every 10ms.
 	IdleTenantTimeout time.Duration
 	// IdleTxnTimeout kills sessions holding a transaction idle this long;
 	// the transaction is rolled back (default 1m, <0 disables).
@@ -75,6 +77,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	brk      *broker.Broker
+	sched    *sched.Scheduler // runs the session reaper and the tenant janitor
 	tenants  *tenant.Manager
 	sessions *sessionTable
 	keys     map[string]string // API key -> tenant name
@@ -86,8 +89,12 @@ type Server struct {
 
 // New wires the serving stack together: broker (shared cache + admission),
 // tenant manager (lazy per-tenant databases drawing on the broker's budget),
-// session table, and HTTP routes.
-func New(cfg Config) (*Server, error) {
+// session table, the scheduler that reaps idle sessions and tenants, and
+// HTTP routes.
+func New(cfg Config) (*Server, error) { return newServer(cfg, time.Now) }
+
+// newServer is New with the scheduler reading the time from now.
+func newServer(cfg Config, now func() time.Time) (*Server, error) {
 	if cfg.Root == "" {
 		return nil, fmt.Errorf("server: Config.Root is required")
 	}
@@ -124,16 +131,18 @@ func New(cfg Config) (*Server, error) {
 	if g := brk.GrantBytes(); g > 0 {
 		tpl.MemoryBudget = g
 	}
+	bg := sched.New(now)
 	s := &Server{
-		cfg: cfg,
-		brk: brk,
+		cfg:   cfg,
+		brk:   brk,
+		sched: bg,
 		tenants: tenant.New(tenant.Config{
 			Root:        cfg.Root,
 			Template:    tpl,
 			MaxOpen:     cfg.MaxOpenTenants,
 			IdleTimeout: cfg.IdleTenantTimeout,
-		}),
-		sessions: newSessionTable(cfg.IdleTxnTimeout, cfg.IdleSessionTimeout),
+		}, bg),
+		sessions: newSessionTable(cfg.IdleTxnTimeout, cfg.IdleSessionTimeout, bg),
 		keys:     keys,
 		mux:      http.NewServeMux(),
 	}
@@ -159,9 +168,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Broker exposes the shared-resource layer (tests, cmd wiring).
 func (s *Server) Broker() *broker.Broker { return s.brk }
 
-// Close tears the serving stack down: sessions first (rolling back their
-// transactions), then every tenant database.
+// Close tears the serving stack down: the scheduler first (waiting for a
+// sweep in flight), then sessions (rolling back their transactions), then
+// every tenant database.
 func (s *Server) Close() {
+	s.sched.Stop()
 	s.sessions.closeAll()
 	s.tenants.Close()
 }
@@ -371,7 +382,7 @@ func (s *Server) withSession(r *http.Request, tenantName string, req *stmtReques
 		if ls == nil || ls.tenant != tenantName {
 			return nil, nil, nil, nil, errSessionGone
 		}
-		unlock, err := ls.use()
+		unlock, err := s.sessions.use(ls)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}

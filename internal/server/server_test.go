@@ -9,15 +9,25 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"apollo"
+	"apollo/internal/sched"
 	"apollo/internal/server/broker"
+	"apollo/internal/server/tenant"
 )
 
 func testServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
+	t.Helper()
+	return testServerAt(t, mutate, time.Now)
+}
+
+// testServerAt is testServer with the server's scheduler reading now.
+func testServerAt(t *testing.T, mutate func(*Config), now func() time.Time) (*Server, *httptest.Server) {
 	t.Helper()
 	dbcfg := apollo.DefaultConfig()
 	dbcfg.TupleMoverInterval = 0
@@ -30,7 +40,7 @@ func testServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) 
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	srv, err := New(cfg)
+	srv, err := newServer(cfg, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,34 +309,144 @@ func TestWriteConflict409(t *testing.T) {
 	wantStatus(t, resp, body, 409, "write_conflict")
 }
 
-func TestIdleTransactionReaped(t *testing.T) {
-	srv, ts := testServer(t, func(c *Config) {
-		c.IdleTxnTimeout = 50 * time.Millisecond
-	})
-	exec(t, ts, "key1", "CREATE TABLE t (a BIGINT)", nil)
-	_, body := do(t, ts, "POST", "/v1/sessions", "key1", nil)
+// newSession opens a server-side session on tenant t1 and returns its id.
+func newSession(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, body := do(t, ts, "POST", "/v1/sessions", "key1", nil)
+	wantStatus(t, resp, body, 200, "")
 	var sess map[string]string
 	json.Unmarshal(body, &sess)
-	in := map[string]any{"session": sess["session"]}
+	return sess["session"]
+}
+
+// The reaper rolls back a transaction idle past IdleTxnTimeout: not on the
+// sweep at exactly the timeout, but on the next.
+func TestIdleTransactionReaped(t *testing.T) {
+	clk := new(sched.Manual)
+	const timeout = 40 * time.Millisecond
+	srv, ts := testServerAt(t, func(c *Config) { c.IdleTxnTimeout = timeout }, clk.Now)
+	exec(t, ts, "key1", "CREATE TABLE t (a BIGINT)", nil)
+	id := newSession(t, ts)
+	in := map[string]any{"session": id}
 	exec(t, ts, "key1", "BEGIN", in)
 	exec(t, ts, "key1", "INSERT INTO t VALUES (1)", in)
 
-	// Wait for the reaper to kill the idle transaction. (Polling through
-	// the session would keep refreshing its idle clock, so watch the
-	// session table instead and probe the wire once it is gone.)
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.sessions.get(sess["session"]) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("idle transaction never reaped")
-		}
-		time.Sleep(20 * time.Millisecond)
+	clk.Advance(timeout)
+	srv.sched.Settle()
+	if srv.sessions.get(id) == nil {
+		t.Fatal("transaction reaped at exactly its idle timeout")
+	}
+	clk.Advance(tenant.SweepPeriod(timeout))
+	srv.sched.Settle()
+	if srv.sessions.get(id) != nil {
+		t.Fatal("transaction idle past its timeout survived a sweep")
 	}
 	resp, body := do(t, ts, "POST", "/v1/exec", "key1",
-		map[string]any{"sql": "SELECT COUNT(*) FROM t", "session": sess["session"]})
+		map[string]any{"sql": "SELECT COUNT(*) FROM t", "session": id})
 	wantStatus(t, resp, body, 410, "session_gone")
 	// The transaction's write was rolled back.
 	if r := exec(t, ts, "key1", "SELECT COUNT(*) FROM t", nil); r.Rows[0][0] != float64(0) {
 		t.Fatalf("reaped transaction's write survived: %+v", r.Rows)
+	}
+}
+
+// A session with no transaction is reaped once idle past
+// IdleSessionTimeout.
+func TestIdleSessionReaped(t *testing.T) {
+	clk := new(sched.Manual)
+	const timeout = 40 * time.Millisecond
+	srv, ts := testServerAt(t, func(c *Config) {
+		c.IdleTxnTimeout = -1
+		c.IdleSessionTimeout = timeout
+	}, clk.Now)
+	id := newSession(t, ts)
+	clk.Advance(timeout)
+	srv.sched.Settle()
+	if srv.sessions.get(id) == nil {
+		t.Fatal("session reaped at exactly its idle timeout")
+	}
+	clk.Advance(tenant.SweepPeriod(timeout))
+	srv.sched.Settle()
+	if srv.sessions.get(id) != nil {
+		t.Fatal("session idle past its timeout survived a sweep")
+	}
+	resp, body := do(t, ts, "DELETE", "/v1/sessions/"+id, "key1", nil)
+	wantStatus(t, resp, body, 410, "session_gone")
+}
+
+// A session whose lock is held (a statement in flight) survives sweeps past
+// its deadline, and the first sweep after it is released reaps it.
+func TestBusySessionOutlivesDeadline(t *testing.T) {
+	clk := new(sched.Manual)
+	const timeout = 40 * time.Millisecond
+	srv, ts := testServerAt(t, func(c *Config) { c.IdleSessionTimeout = timeout }, clk.Now)
+	id := newSession(t, ts)
+	ls := srv.sessions.get(id)
+	ls.mu.Lock()
+	clk.Advance(10 * timeout)
+	srv.sched.Settle()
+	if srv.sessions.get(id) == nil || ls.closed {
+		ls.mu.Unlock()
+		t.Fatal("reaper tore down a session mid-statement")
+	}
+	ls.mu.Unlock()
+	clk.Advance(tenant.SweepPeriod(timeout))
+	srv.sched.Settle()
+	if srv.sessions.get(id) != nil {
+		t.Fatal("released session past its deadline survived the next sweep")
+	}
+}
+
+// moduleGoroutines counts the goroutines running this module's code, the
+// caller's own excepted. Goroutines of earlier tests' HTTP servers and
+// clients wind down in the background, so runtime.NumGoroutine would blur
+// the count.
+func moduleGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for n := runtime.Stack(buf, true); n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		if moduleFrame.MatchString(g) {
+			count++
+		}
+	}
+	return count
+}
+
+var moduleFrame = regexp.MustCompile(`(?m)^apollo[./]`)
+
+// A server with the session reaper and the tenant janitor on and no tenant
+// open runs one background goroutine, its scheduler's, and none once
+// closed.
+func TestServerBackgroundGoroutines(t *testing.T) {
+	// atMost yields until at most want goroutines are left, giving the
+	// one Close has just released the moment it needs to exit.
+	atMost := func(want int) int {
+		n := moduleGoroutines()
+		for i := 0; i < 1000 && n > want; i++ {
+			runtime.Gosched()
+			n = moduleGoroutines()
+		}
+		return n
+	}
+	base := atMost(0)
+	srv, err := New(Config{
+		Root:              t.TempDir(),
+		Tenants:           map[string]string{"t1": "key1"},
+		DB:                apollo.DefaultConfig(),
+		IdleTenantTimeout: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := moduleGoroutines() - base; n != 1 {
+		t.Errorf("idle server runs %d background goroutines, want 1", n)
+	}
+	srv.Close()
+	if n := atMost(base); n != base {
+		t.Fatalf("%d module goroutines after Close, %d before New", n, base)
 	}
 }
 

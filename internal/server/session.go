@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"apollo"
 	"apollo/internal/metrics"
+	"apollo/internal/sched"
 	"apollo/internal/server/tenant"
 )
 
@@ -58,33 +60,45 @@ func (s *liveSession) stmt(src string) (*apollo.Stmt, error) {
 	return st, nil
 }
 
-// sessionTable owns every live session and the idle reaper.
+// sessionTable owns every live session; its idle reaper is a job on the
+// server's scheduler, whose clock stamps each session's last use.
 type sessionTable struct {
 	mu   sync.Mutex
 	byID map[string]*liveSession
 
 	idleTxn time.Duration // kill sessions holding a transaction idle this long
 	idle    time.Duration // kill any session idle this long
-
-	stop, done chan struct{}
+	now     func() time.Time
 
 	gauge  *metrics.Gauge
 	reaped *metrics.Counter
 }
 
-func newSessionTable(idleTxn, idle time.Duration) *sessionTable {
+// newSessionTable adds the reaper to s when either idle timeout is set: it
+// sweeps every tenant.SweepPeriod of the shorter one.
+func newSessionTable(idleTxn, idle time.Duration, s *sched.Scheduler) *sessionTable {
 	t := &sessionTable{
 		byID:    map[string]*liveSession{},
 		idleTxn: idleTxn,
 		idle:    idle,
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		now:     s.Now,
 		gauge: metrics.Default.Gauge("apollod_sessions_open",
 			"Server-side SQL sessions currently open."),
 		reaped: metrics.Default.Counter("apollod_sessions_reaped_total",
 			"Sessions closed by the idle reaper (open transactions rolled back)."),
 	}
-	go t.reaper()
+	timeout := idleTxn
+	if idle > 0 && (timeout == 0 || idle < timeout) {
+		timeout = idle
+	}
+	if timeout > 0 {
+		period := tenant.SweepPeriod(timeout)
+		s.Add(&sched.Job{
+			Name: "session reaper",
+			Due:  func(_, last time.Time, _ bool) time.Time { return last.Add(period) },
+			Run:  func(context.Context) { t.sweep() },
+		})
+	}
 	return t
 }
 
@@ -105,7 +119,7 @@ func (t *sessionTable) create(tenantName string, h *tenant.Handle) *liveSession 
 		tenant:  tenantName,
 		h:       h,
 		sess:    h.DB().Session(),
-		lastUse: time.Now(),
+		lastUse: t.now(),
 	}
 	t.mu.Lock()
 	t.byID[s.id] = s
@@ -141,30 +155,11 @@ func (t *sessionTable) remove(s *liveSession) {
 	t.mu.Unlock()
 }
 
-// reaper enforces the idle deadlines. A session mid-statement is never
-// touched (TryLock fails while a request holds the session).
-func (t *sessionTable) reaper() {
-	defer close(t.done)
-	period := t.idleTxn
-	if t.idle > 0 && (period == 0 || t.idle < period) {
-		period = t.idle
-	}
-	if period <= 0 {
-		period = time.Minute
-	}
-	tick := time.NewTicker(maxDur(period/4, 10*time.Millisecond))
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			t.sweep(time.Now())
-		}
-	}
-}
-
-func (t *sessionTable) sweep(now time.Time) {
+// sweep is the reaper's run: it closes the sessions past an idle deadline.
+// A session mid-statement is never touched (TryLock fails while a request
+// holds the session).
+func (t *sessionTable) sweep() {
+	now := t.now()
 	t.mu.Lock()
 	candidates := make([]*liveSession, 0, len(t.byID))
 	for _, s := range t.byID {
@@ -190,10 +185,9 @@ func (t *sessionTable) sweep(now time.Time) {
 	}
 }
 
-// closeAll tears every session down (server shutdown).
+// closeAll tears every session down (server shutdown, after the reaper
+// has stopped).
 func (t *sessionTable) closeAll() {
-	close(t.stop)
-	<-t.done
 	t.mu.Lock()
 	all := make([]*liveSession, 0, len(t.byID))
 	for _, s := range t.byID {
@@ -205,24 +199,17 @@ func (t *sessionTable) closeAll() {
 	}
 }
 
-// use acquires the session for one statement, refusing if it was closed.
-// Returns an unlock func.
-func (s *liveSession) use() (func(), error) {
+// use acquires s for one statement, refusing if it was closed. Returns an
+// unlock func.
+func (t *sessionTable) use(s *liveSession) (func(), error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, errSessionGone
 	}
-	s.lastUse = time.Now()
+	s.lastUse = t.now()
 	return func() {
-		s.lastUse = time.Now()
+		s.lastUse = t.now()
 		s.mu.Unlock()
 	}, nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

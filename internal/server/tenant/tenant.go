@@ -29,6 +29,7 @@ import (
 
 	"apollo"
 	"apollo/internal/metrics"
+	"apollo/internal/sched"
 )
 
 // ErrManagerClosed is returned by Get after Close.
@@ -51,7 +52,7 @@ type Config struct {
 	// exceeded transiently while more than MaxOpen tenants are mid-query.
 	MaxOpen int
 	// IdleTimeout closes databases that have had no request for this long
-	// (0 = never).
+	// (0 = never), checked every SweepPeriod(IdleTimeout).
 	IdleTimeout time.Duration
 	// OnOpen, when set, runs after each successful open (metrics, logging).
 	OnOpen func(name string, db *apollo.DB)
@@ -59,15 +60,14 @@ type Config struct {
 
 // Manager owns the open-handle cache.
 type Manager struct {
-	cfg Config
+	cfg     Config
+	now     func() time.Time
+	janitor *sched.Job // closes idle databases; nil without IdleTimeout
 
 	mu      sync.Mutex
 	open    map[string]*Handle
 	pending map[string]chan struct{} // open or close in progress; wait and retry
 	closed  bool
-
-	janitorStop chan struct{}
-	janitorDone chan struct{}
 
 	openGauge *metrics.Gauge
 	evictions *metrics.Counter
@@ -85,10 +85,19 @@ type Handle struct {
 	lastUse time.Time
 }
 
-// New creates a manager. Call Close to shut every tenant down.
-func New(cfg Config) *Manager {
+// SweepPeriod is how often a job enforcing an idle timeout runs: every
+// quarter of the timeout, but at most every 10ms, so a tiny timeout neither
+// makes the job always due nor stops it.
+func SweepPeriod(timeout time.Duration) time.Duration {
+	return max(timeout/4, 10*time.Millisecond)
+}
+
+// New creates a manager whose idle close is a job on s; s's clock stamps
+// each handle's last use. Call Close to shut every tenant down.
+func New(cfg Config, s *sched.Scheduler) *Manager {
 	m := &Manager{
 		cfg:     cfg,
+		now:     s.Now,
 		open:    map[string]*Handle{},
 		pending: map[string]chan struct{}{},
 		openGauge: metrics.Default.Gauge("apollod_tenants_open",
@@ -97,9 +106,13 @@ func New(cfg Config) *Manager {
 			"Idle tenant databases closed by LRU eviction or idle timeout."),
 	}
 	if cfg.IdleTimeout > 0 {
-		m.janitorStop = make(chan struct{})
-		m.janitorDone = make(chan struct{})
-		go m.janitor()
+		period := SweepPeriod(cfg.IdleTimeout)
+		m.janitor = &sched.Job{
+			Name: "tenant janitor",
+			Due:  func(_, last time.Time, _ bool) time.Time { return last.Add(period) },
+			Run:  func(context.Context) { m.closeIdle() },
+		}
+		s.Add(m.janitor)
 	}
 	return m
 }
@@ -137,7 +150,7 @@ func (m *Manager) Get(ctx context.Context, name string) (*Handle, error) {
 		}
 		if h := m.open[name]; h != nil {
 			h.refs++
-			h.lastUse = time.Now()
+			h.lastUse = m.now()
 			m.mu.Unlock()
 			return h, nil
 		}
@@ -186,7 +199,7 @@ func (m *Manager) openTenant(ctx context.Context, name string, ch chan struct{})
 		db.Close()
 		return nil, ErrManagerClosed
 	}
-	h := &Handle{name: name, db: db, m: m, refs: 1, lastUse: time.Now()}
+	h := &Handle{name: name, db: db, m: m, refs: 1, lastUse: m.now()}
 	m.open[name] = h
 	m.openGauge.Set(float64(len(m.open)))
 	evict := m.overflowLocked()
@@ -211,7 +224,7 @@ func (h *Handle) Release() {
 	m := h.m
 	m.mu.Lock()
 	h.refs--
-	h.lastUse = time.Now()
+	h.lastUse = m.now()
 	// A handle that was busy while the cache overflowed escapes eviction at
 	// open time; settle the bound when it goes idle.
 	evict := m.overflowLocked()
@@ -269,33 +282,20 @@ func (m *Manager) closeAll(hs []*Handle) {
 	}
 }
 
-// janitor closes idle databases in the background.
-func (m *Manager) janitor() {
-	defer close(m.janitorDone)
-	tick := time.NewTicker(m.cfg.IdleTimeout / 2)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.janitorStop:
-			return
-		case <-tick.C:
-			cutoff := time.Now().Add(-m.cfg.IdleTimeout)
-			var evict []*Handle
-			m.mu.Lock()
-			if m.closed {
-				m.mu.Unlock()
-				return
-			}
-			for _, h := range m.open {
-				if h.refs == 0 && h.lastUse.Before(cutoff) {
-					m.detachLocked(h)
-					evict = append(evict, h)
-				}
-			}
-			m.mu.Unlock()
-			m.closeAll(evict)
+// closeIdle is the janitor's run: it closes the databases nobody has
+// leased for longer than IdleTimeout.
+func (m *Manager) closeIdle() {
+	cutoff := m.now().Add(-m.cfg.IdleTimeout)
+	var evict []*Handle
+	m.mu.Lock()
+	for _, h := range m.open {
+		if h.refs == 0 && h.lastUse.Before(cutoff) {
+			m.detachLocked(h)
+			evict = append(evict, h)
 		}
 	}
+	m.mu.Unlock()
+	m.closeAll(evict)
 }
 
 // OpenCount returns the number of currently open tenant databases.
@@ -339,10 +339,7 @@ func (m *Manager) Close() {
 		close(ch)
 	}
 	m.mu.Unlock()
-	if m.janitorStop != nil {
-		close(m.janitorStop)
-		<-m.janitorDone
-	}
+	m.janitor.Remove()
 	for _, h := range handles {
 		h.db.Close()
 	}

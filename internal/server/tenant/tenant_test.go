@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"apollo"
+	"apollo/internal/sched"
 )
 
 func testConfig(t *testing.T, root string) Config {
@@ -18,6 +19,17 @@ func testConfig(t *testing.T, root string) Config {
 	cfg := apollo.DefaultConfig()
 	cfg.TupleMoverInterval = 0 // keep background churn out of lifecycle tests
 	return Config{Root: root, Template: cfg}
+}
+
+// newManager returns a manager whose janitor runs on a scheduler reading a
+// Manual clock, stopped when the test ends: a test moves the clock and
+// calls Settle.
+func newManager(t *testing.T, cfg Config) (*Manager, *sched.Manual, *sched.Scheduler) {
+	t.Helper()
+	clk := new(sched.Manual)
+	s := sched.New(clk.Now)
+	t.Cleanup(s.Stop)
+	return New(cfg, s), clk, s
 }
 
 func mustExec(t *testing.T, db *apollo.DB, stmt string) *apollo.Result {
@@ -31,7 +43,7 @@ func mustExec(t *testing.T, db *apollo.DB, stmt string) *apollo.Result {
 
 func TestLazyOpenAndReuse(t *testing.T) {
 	root := t.TempDir()
-	m := New(testConfig(t, root))
+	m, _, _ := newManager(t, testConfig(t, root))
 	defer m.Close()
 
 	ctx := context.Background()
@@ -63,7 +75,7 @@ func TestLazyOpenAndReuse(t *testing.T) {
 }
 
 func TestInvalidNames(t *testing.T) {
-	m := New(testConfig(t, t.TempDir()))
+	m, _, _ := newManager(t, testConfig(t, t.TempDir()))
 	defer m.Close()
 	for _, name := range []string{"", "../etc", "a/b", "UPPER", "x y", "héllo"} {
 		if _, err := m.Get(context.Background(), name); !errors.Is(err, ErrBadName) {
@@ -82,7 +94,7 @@ func TestRecoveryOnFirstRequest(t *testing.T) {
 	root := t.TempDir()
 	ctx := context.Background()
 
-	m1 := New(testConfig(t, root))
+	m1, _, _ := newManager(t, testConfig(t, root))
 	h, err := m1.Get(ctx, "acme")
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +104,7 @@ func TestRecoveryOnFirstRequest(t *testing.T) {
 	h.Release()
 	m1.Close()
 
-	m2 := New(testConfig(t, root))
+	m2, _, _ := newManager(t, testConfig(t, root))
 	defer m2.Close()
 	h2, err := m2.Get(ctx, "acme")
 	if err != nil {
@@ -116,7 +128,7 @@ func TestRecoveryOnFirstRequest(t *testing.T) {
 func TestCorruptTenantIsolated(t *testing.T) {
 	root := t.TempDir()
 	ctx := context.Background()
-	m := New(testConfig(t, root))
+	m, _, _ := newManager(t, testConfig(t, root))
 	defer m.Close()
 
 	for _, name := range []string{"good", "bad"} {
@@ -150,7 +162,7 @@ func TestCorruptTenantIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m2 := New(testConfig(t, root))
+	m2, _, _ := newManager(t, testConfig(t, root))
 	defer m2.Close()
 	if _, err := m2.Get(ctx, "bad"); err == nil {
 		t.Fatal("corrupt tenant opened without error")
@@ -184,7 +196,7 @@ func TestLRUEviction(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t, root)
 	cfg.MaxOpen = 2
-	m := New(cfg)
+	m, _, _ := newManager(t, cfg)
 	defer m.Close()
 
 	for i := 0; i < 3; i++ {
@@ -221,7 +233,7 @@ func TestEvictionSparesBusyHandles(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t, root)
 	cfg.MaxOpen = 1
-	m := New(cfg)
+	m, _, _ := newManager(t, cfg)
 	defer m.Close()
 
 	var held []*Handle
@@ -246,11 +258,38 @@ func TestEvictionSparesBusyHandles(t *testing.T) {
 	}
 }
 
-// TestIdleClose verifies the janitor closes tenants with no traffic.
+// The janitor closes a tenant once it has gone unleased for longer than
+// IdleTimeout: not on the sweep at exactly the timeout, but on the next.
 func TestIdleClose(t *testing.T) {
 	cfg := testConfig(t, t.TempDir())
-	cfg.IdleTimeout = 50 * time.Millisecond
-	m := New(cfg)
+	cfg.IdleTimeout = 40 * time.Millisecond
+	m, clk, s := newManager(t, cfg)
+	defer m.Close()
+
+	h, err := m.Get(context.Background(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := h.DB()
+	h.Release()
+	clk.Advance(cfg.IdleTimeout)
+	s.Settle()
+	if m.OpenCount() != 1 || db.Closed() {
+		t.Fatal("tenant closed at exactly its idle timeout")
+	}
+	clk.Advance(SweepPeriod(cfg.IdleTimeout))
+	s.Settle()
+	if m.OpenCount() != 0 || !db.Closed() {
+		t.Fatal("tenant idle past its timeout still open after a sweep")
+	}
+}
+
+// A 1ns IdleTimeout gets the 10ms sweep floor: the janitor is neither
+// always due (Settle would spin) nor run before the floor has passed.
+func TestIdleCloseTinyTimeout(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.IdleTimeout = time.Nanosecond
+	m, clk, s := newManager(t, cfg)
 	defer m.Close()
 
 	h, err := m.Get(context.Background(), "acme")
@@ -258,12 +297,50 @@ func TestIdleClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Release()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.OpenCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle tenant never closed")
-		}
-		time.Sleep(10 * time.Millisecond)
+	now := clk.Now()
+	if at := m.janitor.Due(now, now, false); !at.Equal(now.Add(10 * time.Millisecond)) {
+		t.Fatalf("janitor due %v after its run, want 10ms", at.Sub(now))
+	}
+	clk.Advance(10*time.Millisecond - 1)
+	s.Settle()
+	if m.OpenCount() != 1 {
+		t.Fatal("tenant closed before the 10ms sweep floor")
+	}
+	clk.Advance(1)
+	s.Settle()
+	if m.OpenCount() != 0 {
+		t.Fatal("tenant still open after the first sweep")
+	}
+}
+
+// The janitor never closes a leased handle however long it idles; once the
+// lease is back, the idle time counts from the release.
+func TestIdleCloseSparesLeased(t *testing.T) {
+	cfg := testConfig(t, t.TempDir())
+	cfg.IdleTimeout = 40 * time.Millisecond
+	m, clk, s := newManager(t, cfg)
+	defer m.Close()
+
+	h, err := m.Get(context.Background(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := h.DB()
+	clk.Advance(10 * cfg.IdleTimeout)
+	s.Settle()
+	if m.OpenCount() != 1 || db.Closed() {
+		t.Fatal("janitor closed a leased tenant")
+	}
+	h.Release()
+	clk.Advance(cfg.IdleTimeout)
+	s.Settle()
+	if m.OpenCount() != 1 || db.Closed() {
+		t.Fatal("tenant closed at exactly its idle timeout after release")
+	}
+	clk.Advance(SweepPeriod(cfg.IdleTimeout))
+	s.Settle()
+	if m.OpenCount() != 0 || !db.Closed() {
+		t.Fatal("released tenant idle past its timeout still open")
 	}
 }
 
@@ -277,7 +354,7 @@ func TestConcurrentOpenEvictReopen(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig(t, root)
 	cfg.MaxOpen = 1
-	m := New(cfg)
+	m, _, _ := newManager(t, cfg)
 	defer m.Close()
 
 	// Seed both tenants with a table.
@@ -342,7 +419,7 @@ func TestConcurrentOpenEvictReopen(t *testing.T) {
 
 // TestGetAfterClose verifies the typed error and that Close wakes waiters.
 func TestGetAfterClose(t *testing.T) {
-	m := New(testConfig(t, t.TempDir()))
+	m, _, _ := newManager(t, testConfig(t, t.TempDir()))
 	m.Close()
 	if _, err := m.Get(context.Background(), "acme"); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("err = %v, want ErrManagerClosed", err)

@@ -16,6 +16,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"apollo/internal/sched"
 )
 
 // Segment file layout:
@@ -44,8 +46,11 @@ const (
 	// FsyncAlways group-commits: every Append returns only after the record
 	// is durable (concurrent appenders share one fsync).
 	FsyncAlways Policy = iota
-	// FsyncInterval fsyncs on a background timer; a crash loses at most one
-	// interval of acknowledged appends.
+	// FsyncInterval fsyncs from a background job (see FlushJob) that runs
+	// Interval after the previous flush ended. An append acknowledged while
+	// a flush is in flight is covered by the next one, so a crash loses at
+	// most the appends acknowledged in the last Interval plus two fsync
+	// durations, plus however late the scheduler starts the job.
 	FsyncInterval
 	// FsyncOff never fsyncs during operation (Close still does); durability
 	// is whatever the OS page cache survives.
@@ -81,7 +86,7 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	// Policy selects the fsync discipline (default FsyncAlways).
 	Policy Policy
-	// Interval is the FsyncInterval flush period (default 10ms).
+	// Interval is the pause between FsyncInterval flushes (default 10ms).
 	Interval time.Duration
 	// SegmentBytes rotates to a new segment file once the current one
 	// reaches this size (default 16 MiB).
@@ -133,9 +138,6 @@ type Writer struct {
 	poison       atomic.Pointer[PoisonedError]
 	injSyncFail  atomic.Int64
 	injNoSpaceIn int64
-
-	intervalStop chan struct{}
-	intervalDone chan struct{}
 }
 
 // Create opens a writer on dir starting a fresh segment with the given
@@ -154,11 +156,6 @@ func Create(dir string, startSeq uint64, opts Options) (*Writer, error) {
 	}
 	if err := w.openSegmentLocked(startSeq); err != nil {
 		return nil, err
-	}
-	if w.opts.Policy == FsyncInterval {
-		w.intervalStop = make(chan struct{})
-		w.intervalDone = make(chan struct{})
-		go w.intervalLoop()
 	}
 	return w, nil
 }
@@ -538,28 +535,21 @@ func (w *Writer) Sync() error {
 	return w.WaitDurable(context.Background(), target)
 }
 
-func (w *Writer) intervalLoop() {
-	defer close(w.intervalDone)
-	t := time.NewTicker(w.opts.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.intervalStop:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			target := w.total
-			closed := w.closed
-			w.mu.Unlock()
-			if closed {
-				return
+// FlushJob returns the FsyncInterval flusher as a scheduler job: due
+// Interval after its previous run ended, and never once the writer is
+// poisoned. A run is one Sync, a WaitDurable to the current total. The
+// writer must outlive the job: close it only after removing the job.
+func (w *Writer) FlushJob() *sched.Job {
+	return &sched.Job{
+		Name: "wal flush",
+		Due: func(_, last time.Time, _ bool) time.Time {
+			if w.poison.Load() != nil {
+				return time.Time{}
 			}
-			if err := w.WaitDurable(context.Background(), target); err != nil {
-				// Only poisoning can fail a background flush; the writer
-				// will never sync again, so stop ticking.
-				return
-			}
-		}
+			return last.Add(w.opts.Interval)
+		},
+		// Only poisoning can fail the flush, and then Due retires the job.
+		Run: func(context.Context) { _ = w.Sync() },
 	}
 }
 
@@ -616,10 +606,6 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	w.mu.Unlock()
-	if w.intervalStop != nil {
-		close(w.intervalStop)
-		<-w.intervalDone
-	}
 	w.syncSem <- struct{}{}
 	defer func() { <-w.syncSem }()
 	w.mu.Lock()

@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"apollo/internal/sched"
 )
 
 func mkRec(i int) *Record {
@@ -329,6 +332,65 @@ func TestConcurrentAppend(t *testing.T) {
 			t.Fatalf("duplicate record B=%d", r.B)
 		}
 		seen[r.B] = true
+	}
+}
+
+// The FsyncInterval flush runs on its own as a scheduler job: appends turn
+// durable Interval after the job was added, not a nanosecond earlier, and
+// once an fsync failure poisons the writer the job is never due again.
+func TestIntervalFlushJob(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	w, err := Create(t.TempDir(), 1, Options{Policy: FsyncInterval, Interval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = w.Close() }) // poisoned below, so Close fails
+	clk := new(sched.Manual)
+	s := sched.New(clk.Now)
+	t.Cleanup(s.Stop) // before Close: the job must not outlive the writer
+	flush := w.FlushJob()
+	var runs atomic.Int32
+	run := flush.Run
+	flush.Run = func(ctx context.Context) { runs.Add(1); run(ctx) }
+	s.Add(flush)
+
+	for i := 0; i < 10; i++ {
+		if err := w.Append(mkRec(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := w.Stat()
+	if before.SyncedBytes >= before.TotalBytes {
+		t.Fatalf("appends durable before any flush: %+v", before)
+	}
+	clk.Advance(interval - 1)
+	s.Settle()
+	if st := w.Stat(); st.SyncedBytes != before.SyncedBytes || runs.Load() != 0 {
+		t.Fatalf("1ns before the interval: synced %d (was %d), %d flushes", st.SyncedBytes, before.SyncedBytes, runs.Load())
+	}
+	clk.Advance(1)
+	s.Settle()
+	if st := w.Stat(); st.SyncedBytes != st.TotalBytes || runs.Load() != 1 {
+		t.Fatalf("at the interval: synced %d of %d bytes, %d flushes", st.SyncedBytes, st.TotalBytes, runs.Load())
+	}
+
+	w.SetFailSync(1)
+	if err := w.Append(mkRec(10)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(interval)
+	s.Settle()
+	if !w.Stat().Poisoned || runs.Load() != 2 {
+		t.Fatalf("failed flush: poisoned %v after %d flushes, want true after 2", w.Stat().Poisoned, runs.Load())
+	}
+	fsyncs := mFsyncs.Value()
+	clk.Advance(10 * interval)
+	s.Settle()
+	if runs.Load() != 2 || mFsyncs.Value() != fsyncs {
+		t.Fatalf("poisoned writer: %d flushes and %d more fsyncs, want 2 and 0", runs.Load(), mFsyncs.Value()-fsyncs)
+	}
+	if at := flush.Due(clk.Now(), clk.Now().Add(-time.Hour), false); !at.IsZero() {
+		t.Fatalf("poisoned writer's flush due at %v, want never", at)
 	}
 }
 
