@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench-check clean
+.PHONY: all build test vet lint race fuzz-smoke serve-smoke scrub-smoke cover check crash crash-full bench-check ledger clean
 
 all: check
 
@@ -116,6 +116,13 @@ cover:
 # Vet and test it so a rename breaks the build here, not the next benchmark.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Work ledger: per-statement heap allocations and scan, planner and spill
+# counters of the 13 SSB queries and a few delta-store statements, pinned in
+# internal/sql/testdata/ledger.golden (TestWorkLedger, part of `make test`).
+# Regenerate after an intentional change and quote the moved lines.
+ledger:
+	$(GO) test ./internal/sql -run='^TestWorkLedger$$' -count=1 -update
 
 # Full CI gate: build, vet, durability lint, tests (incl. golden plans,
 # metrics invariants and the bulk-load parity sweep), benchmark build and

@@ -274,9 +274,7 @@ func firstExchangeError(ctx context.Context, errs []error) error {
 func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable) ([]sqltypes.Row, error) {
 	t0 := tables[0]
 	m := newAggTable(t0.inSchema, t0.groupBy, aggs, nil, nil)
-	// The merge table only ever uses the generic encoded-key map (plus the
-	// scalar group); its fast-path state stays untouched because addBatch is
-	// never called on it.
+	m.toEncoded()
 	for _, t := range tables {
 		if t == nil {
 			continue
@@ -285,7 +283,7 @@ func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable
 			return nil, err
 		}
 		for _, g := range t.order {
-			m.mergeGroup(g)
+			m.groupOf(g.keyVals).merge(aggs, g)
 		}
 		for _, part := range t.parts {
 			if part == nil {
@@ -301,49 +299,18 @@ func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable
 		}
 		t.parts = nil
 	}
-	results := make([]sqltypes.Row, 0, len(m.order))
-	for _, g := range m.order {
-		results = append(results, g.finalize(aggs))
-	}
-	return results, nil
+	return finalizeAll(make([]sqltypes.Row, 0, len(m.order)), aggs, m.order)
 }
 
-// mergeGroup folds one worker group's partial states into the merge table.
-func (t *aggTable) mergeGroup(src *aggGroup) {
-	if t.scalarGroup != nil {
-		t.scalarGroup.merge(t.aggs, src)
-		return
-	}
-	key := string(exec.EncodeKey(nil, src.keyVals))
-	grp := t.groups[key]
-	if grp == nil {
-		grp = newAggGroup(t.aggs, src.keyVals)
-		t.groups[key] = grp
-		t.order = append(t.order, grp)
-	}
-	grp.merge(t.aggs, src)
-}
-
-// foldRow folds one materialized (spill-replayed) row into the table through
-// the generic path, without grant accounting: by merge time the workers'
-// grants are already charged, and the merged group set is bounded by the
-// union of what the workers held.
+// foldRow folds one materialized (spill-replayed) row into a table on the
+// encoded map, without grant accounting: by merge time the workers' grants
+// are already charged, and the merged group set is bounded by the union of
+// what the workers held.
 func (t *aggTable) foldRow(r sqltypes.Row) {
-	if t.scalarGroup != nil {
-		t.scalarGroup.add(t.aggs, r)
-		return
-	}
 	for c, g := range t.groupBy {
 		t.keyVals[c] = r[g]
 	}
-	key := string(exec.EncodeKey(nil, t.keyVals))
-	grp := t.groups[key]
-	if grp == nil {
-		grp = newAggGroup(t.aggs, t.keyVals.Clone())
-		t.groups[key] = grp
-		t.order = append(t.order, grp)
-	}
-	grp.add(t.aggs, r)
+	t.groupOf(t.keyVals).add(t.aggs, r)
 }
 
 // --- Partitioned parallel hash join runtime ---

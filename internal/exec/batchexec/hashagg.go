@@ -2,6 +2,9 @@ package batchexec
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
+	"slices"
 
 	"apollo/internal/encoding"
 	"apollo/internal/exec"
@@ -60,13 +63,17 @@ func (h *HashAgg) Schema() *sqltypes.Schema { return h.schema }
 // aggGroup is one group's accumulators.
 type aggGroup struct {
 	keyVals sqltypes.Row
+	key     uint64 // packed key, while the table packs
 	states  []aggAcc
 }
 
-// aggAcc accumulates one aggregate.
+// aggAcc accumulates one aggregate. An integer SUM or AVG is exact: sumHi and
+// sumLo hold the total as one two's-complement 128-bit number, so no input
+// can wrap it; a float SUM or AVG accumulates in sumF.
 type aggAcc struct {
 	count    int64
-	sumI     int64
+	sumLo    uint64
+	sumHi    int64
 	sumF     exec.FloatSum
 	min, max sqltypes.Value
 	seen     bool
@@ -83,6 +90,7 @@ func newAggGroup(aggs []exec.AggSpec, keyVals sqltypes.Row) *aggGroup {
 	return g
 }
 
+// add folds one materialized row into the group.
 func (g *aggGroup) add(aggs []exec.AggSpec, row sqltypes.Row) {
 	for i := range aggs {
 		spec := &aggs[i]
@@ -103,20 +111,7 @@ func (g *aggGroup) add(aggs []exec.AggSpec, row sqltypes.Row) {
 			st.distinct[key] = true
 		}
 		st.count++
-		switch spec.Kind {
-		case exec.Sum, exec.Avg:
-			st.sumI += v.I
-			st.sumF.Add(v.AsFloat())
-		case exec.Min:
-			if !st.seen || sqltypes.Compare(v, st.min) < 0 {
-				st.min = v
-			}
-		case exec.Max:
-			if !st.seen || sqltypes.Compare(v, st.max) > 0 {
-				st.max = v
-			}
-		}
-		st.seen = true
+		st.add(spec, v)
 	}
 }
 
@@ -128,7 +123,9 @@ func (g *aggGroup) merge(aggs []exec.AggSpec, o *aggGroup) {
 	for i := range aggs {
 		st, os := &g.states[i], &o.states[i]
 		st.count += os.count
-		st.sumI += os.sumI
+		var carry uint64
+		st.sumLo, carry = bits.Add64(st.sumLo, os.sumLo, 0)
+		st.sumHi += os.sumHi + int64(carry)
 		st.sumF.Merge(os.sumF)
 		if os.seen {
 			if !st.seen || sqltypes.Compare(os.min, st.min) < 0 {
@@ -142,7 +139,7 @@ func (g *aggGroup) merge(aggs []exec.AggSpec, o *aggGroup) {
 	}
 }
 
-func (g *aggGroup) finalize(aggs []exec.AggSpec) sqltypes.Row {
+func (g *aggGroup) finalize(aggs []exec.AggSpec) (sqltypes.Row, error) {
 	out := make(sqltypes.Row, 0, len(g.keyVals)+len(aggs))
 	out = append(out, g.keyVals...)
 	for i := range aggs {
@@ -157,14 +154,19 @@ func (g *aggGroup) finalize(aggs []exec.AggSpec) sqltypes.Row {
 				out = append(out, sqltypes.NewNull(spec.ResultType()))
 			case spec.ResultType() == sqltypes.Float64:
 				out = append(out, sqltypes.NewFloat(st.sumF.Value()))
+			case st.sumHi != int64(st.sumLo)>>63:
+				return nil, fmt.Errorf("arithmetic overflow: %s leaves the BIGINT range", spec.Name)
 			default:
-				out = append(out, sqltypes.NewInt(st.sumI))
+				out = append(out, sqltypes.NewInt(int64(st.sumLo)))
 			}
 		case exec.Avg:
-			if st.count == 0 {
+			switch {
+			case st.count == 0:
 				out = append(out, sqltypes.NewNull(sqltypes.Float64))
-			} else {
+			case spec.Arg.Type() == sqltypes.Float64:
 				out = append(out, sqltypes.NewFloat(st.sumF.Value()/float64(st.count)))
+			default:
+				out = append(out, sqltypes.NewFloat(sumFloat(st.sumHi, st.sumLo)/float64(st.count)))
 			}
 		case exec.Min:
 			if !st.seen {
@@ -180,16 +182,101 @@ func (g *aggGroup) finalize(aggs []exec.AggSpec) sqltypes.Row {
 			}
 		}
 	}
-	return out
+	return out, nil
+}
+
+// sumFloat converts a 128-bit sum to float64: exactly rounded while it fits
+// an int64, within a rounding of hi*2^64 + lo beyond.
+func sumFloat(hi int64, lo uint64) float64 {
+	if hi == int64(lo)>>63 {
+		return float64(int64(lo))
+	}
+	return float64(hi)*0x1p64 + float64(lo)
 }
 
 const aggSpillPartitions = 8
 
+// Packed group keys. Each group-by column maps its values to small ids
+// (keyCol); the ids of a row, each in its column's current width, pack into
+// one uint64, and that key indexes the group table: a dense slice while the
+// widths sum to at most denseKeyBits, a map beyond. Widths grow as columns
+// hand out ids, repacking the groups' keys. A float key column, or widths
+// summing past packedKeyBits, move the table once onto the exec.EncodeKey
+// map. Bit 63 of a key marks a row with a value that has no id, which no
+// group can hold (see keyCol.fill).
+const (
+	denseKeyBits = 14
+	noID         = ^uint64(0)
+	memoLimit    = 1 << 14 // codes the per-code memo covers; higher codes decode
+)
+
+// packedKeyBits is a variable so that tests can force the move to the
+// encoded map; it never exceeds 63.
+var packedKeyBits uint = 63
+
+// keyCol hands out the ids of one group-by column: 0 is NULL, values get
+// 1, 2, ... in order of appearance. Strings share one id whether they arrive
+// dict-coded or materialized; codes of the column's first dictionary go
+// through a per-code memo, codes of any other dictionary decode.
+type keyCol struct {
+	n    uint64 // ids handed out
+	ints map[int64]uint64
+	strs map[string]uint64
+	dict *encoding.Dict
+	memo []uint64 // code -> id of dict; 0 while unresolved
+}
+
+// idOf returns the id of k in m, handing out the next id when assign is set
+// and noID otherwise.
+func idOf[K comparable](m map[K]uint64, k K, n *uint64, assign bool) uint64 {
+	if id, ok := m[k]; ok {
+		return id
+	}
+	if !assign {
+		return noID
+	}
+	*n++
+	m[k] = *n
+	return *n
+}
+
+// fill writes the id of every row of v to ids. While the table spills, new
+// values get noID instead of an id: they cannot belong to a group in memory,
+// and noID shifted by any width sets bit 63 of the packed key.
+func (kc *keyCol) fill(v *vector.Vector, ids []uint64, assign bool) {
+	coded := v.IsCoded()
+	if coded && kc.dict == nil {
+		kc.dict = v.Dict
+	}
+	coded = coded && v.Dict == kc.dict
+	if want := min(len(v.DictVals), memoLimit); coded && len(kc.memo) < want {
+		kc.memo = append(kc.memo, make([]uint64, want-len(kc.memo))...)
+	}
+	for i := range ids {
+		switch {
+		case v.IsNull(i):
+			ids[i] = 0
+		case coded && v.Codes[i] < uint64(len(kc.memo)):
+			c := v.Codes[i]
+			id := kc.memo[c]
+			if id == 0 {
+				if id = idOf(kc.strs, v.DictVals[c], &kc.n, assign); id != noID {
+					kc.memo[c] = id
+				}
+			}
+			ids[i] = id
+		case v.Typ == sqltypes.String:
+			ids[i] = idOf(kc.strs, v.StrAt(i), &kc.n, assign)
+		default:
+			ids[i] = idOf(kc.ints, v.I64[i], &kc.n, assign)
+		}
+	}
+}
+
 // aggTable holds the grouping and accumulation state of one hash aggregation:
-// the generic encoded-key group map, the single-column fast paths (integer
-// keys, dict-code string keys), the NULL and scalar groups, and the spill
-// partitions. HashAgg drives one table over its whole input; ParallelAgg
-// drives one table per exchange worker and merges them (mergeAggTables).
+// the group table, the groups in first-seen order, and the spill partitions.
+// HashAgg drives one table over its whole input; ParallelAgg drives one table
+// per exchange worker and merges them (mergeAggTables).
 type aggTable struct {
 	aggs       []exec.AggSpec
 	groupBy    []int
@@ -197,39 +284,24 @@ type aggTable struct {
 	tracker    *Tracker
 	spillStore *storage.Store
 
-	groups      map[string]*aggGroup
-	intGroups   map[int64]*aggGroup
-	nullGroup   *aggGroup
-	scalarGroup *aggGroup
-	order       []*aggGroup
-	parts       []*spillPartition
-	spilling    bool
-	reserved    int64
+	order    []*aggGroup
+	parts    []*spillPartition
+	spilling bool
+	reserved int64
 
-	// Fast path state: fastInt applies to a single integer-family group
-	// column; fastStr to a single string group column. Dict-coded batches
-	// group on raw dictionary codes — a dense array when the dictionary is
-	// small, a code-keyed map otherwise — and no group key is decoded except
-	// once when its group is created. Materialized rows (delta store,
-	// fallback segments) bridge into the same groups via a dictionary lookup,
-	// falling back to a string-keyed map for values the shared dictionary has
-	// never seen; this is sound because dictionary ids are stable, so code
-	// and string identify a group interchangeably.
-	fastInt   bool
-	fastStr   bool
-	strGroups map[string]*aggGroup
-	codeMap   map[uint64]*aggGroup
-	codeArr   []*aggGroup
-	codedDict *encoding.Dict
-	codedVals []string
-
-	// Per-batch scratch.
-	keyVals sqltypes.Row
-	ptrs    []*aggGroup
-	argVecs []*vector.Vector
+	// Group lookup: packed keys in dense or packed, or, once cols is nil,
+	// exec.EncodeKey bytes in groups. The rest is per-batch scratch.
+	cols         []keyCol
+	shift, width []uint
+	dense        []*aggGroup
+	packed       map[uint64]*aggGroup
+	groups       map[string]*aggGroup // keyed by exec.EncodeKey
+	keys, ids    []uint64
+	keyBuf       []byte
+	keyVals      sqltypes.Row
+	ptrs         []*aggGroup
+	argVecs      []*vector.Vector
 }
-
-const denseDictLimit = 1 << 14
 
 func newAggTable(inSchema *sqltypes.Schema, groupBy []int, aggs []exec.AggSpec, tracker *Tracker, spillStore *storage.Store) *aggTable {
 	t := &aggTable{
@@ -238,65 +310,136 @@ func newAggTable(inSchema *sqltypes.Schema, groupBy []int, aggs []exec.AggSpec, 
 		inSchema:   inSchema,
 		tracker:    tracker,
 		spillStore: spillStore,
-		groups:     make(map[string]*aggGroup),
+		cols:       make([]keyCol, len(groupBy)),
+		shift:      make([]uint, len(groupBy)),
+		width:      make([]uint, len(groupBy)),
+		dense:      make([]*aggGroup, 1),
 		keyVals:    make(sqltypes.Row, len(groupBy)),
 		argVecs:    make([]*vector.Vector, len(aggs)),
-	}
-	t.fastInt = len(groupBy) == 1 && inSchema.Cols[groupBy[0]].Typ != sqltypes.Float64 &&
-		inSchema.Cols[groupBy[0]].Typ != sqltypes.String
-	if t.fastInt {
-		t.intGroups = make(map[int64]*aggGroup)
-	}
-	t.fastStr = len(groupBy) == 1 && inSchema.Cols[groupBy[0]].Typ == sqltypes.String
-	if t.fastStr {
-		t.strGroups = make(map[string]*aggGroup)
-	}
-	if len(groupBy) == 0 {
-		t.scalarGroup = newAggGroup(aggs, nil)
-		t.order = append(t.order, t.scalarGroup)
 	}
 	for i, spec := range aggs {
 		if spec.Arg != nil {
 			t.argVecs[i] = vector.NewVector(spec.Arg.Type(), vector.DefaultBatchSize)
 		}
 	}
+	float := false
+	for c, g := range groupBy {
+		switch inSchema.Cols[g].Typ {
+		case sqltypes.Float64:
+			float = true
+		case sqltypes.String:
+			t.cols[c].strs = make(map[string]uint64)
+		default:
+			t.cols[c].ints = make(map[int64]uint64)
+		}
+	}
+	if len(groupBy) == 0 {
+		// The scalar group exists even over empty input, at key 0.
+		t.dense[0] = newAggGroup(aggs, nil)
+		t.order = append(t.order, t.dense[0])
+	}
+	if float {
+		t.toEncoded()
+	}
 	return t
 }
 
-func (t *aggTable) lookupCode(code uint64) *aggGroup {
-	if t.codeArr != nil {
-		if code < uint64(len(t.codeArr)) {
-			return t.codeArr[code]
-		}
-		return nil
+// toEncoded moves the table, once, from packed keys to the exec.EncodeKey map.
+func (t *aggTable) toEncoded() {
+	t.groups = make(map[string]*aggGroup, len(t.order))
+	for _, g := range t.order {
+		t.groups[string(exec.EncodeKey(nil, g.keyVals))] = g
 	}
-	return t.codeMap[code]
+	t.cols, t.dense, t.packed = nil, nil, nil
 }
 
-func (t *aggTable) storeCode(code uint64, g *aggGroup) {
-	if t.codeArr != nil {
-		if code >= uint64(len(t.codeArr)) {
-			if code < denseDictLimit {
-				na := make([]*aggGroup, code+1+code/2)
-				copy(na, t.codeArr)
-				t.codeArr = na
-			} else {
-				// Dictionary outgrew the dense range: degrade to a map.
-				t.codeMap = make(map[uint64]*aggGroup, len(t.codeArr))
-				for c, gr := range t.codeArr {
-					if gr != nil {
-						t.codeMap[uint64(c)] = gr
-					}
-				}
-				t.codeArr = nil
-				t.codeMap[code] = g
-				return
-			}
-		}
-		t.codeArr[code] = g
-		return
+// widen gives key column c w bits and repacks every group's key, or moves
+// the table to the encoded map when the widths no longer fit packedKeyBits.
+// Only columns after c shift, so keys packed from columns before c stay valid.
+func (t *aggTable) widen(c int, w uint) bool {
+	var buf [2][8]uint
+	oldShift, oldWidth := append(buf[0][:0], t.shift...), append(buf[1][:0], t.width...)
+	t.width[c] = w
+	var total uint
+	for j := range t.width {
+		t.shift[j] = total
+		total += t.width[j]
 	}
-	t.codeMap[code] = g
+	switch {
+	case total > packedKeyBits:
+		t.toEncoded()
+		return false
+	case total <= denseKeyBits && 1<<total <= len(t.dense):
+		clear(t.dense)
+	case total <= denseKeyBits:
+		t.dense = make([]*aggGroup, max(1<<total, 64))
+	case t.packed != nil && slices.Equal(oldShift, t.shift):
+		return true // map keys stay valid
+	default:
+		t.dense, t.packed = nil, make(map[uint64]*aggGroup, len(t.order))
+	}
+	for _, g := range t.order {
+		var k uint64
+		for j := range t.width {
+			k |= (g.key >> oldShift[j] & (1<<oldWidth[j] - 1)) << t.shift[j]
+		}
+		g.key = k
+		t.put(k, g)
+	}
+	return true
+}
+
+func (t *aggTable) lookup(k uint64) *aggGroup {
+	if t.dense == nil {
+		return t.packed[k]
+	}
+	if k < uint64(len(t.dense)) {
+		return t.dense[k]
+	}
+	return nil
+}
+
+func (t *aggTable) put(k uint64, g *aggGroup) {
+	if t.dense == nil {
+		t.packed[k] = g
+	} else {
+		t.dense[k] = g
+	}
+}
+
+// packKeys computes the packed key of every row of b into t.keys, one key
+// column at a time. It reports false when the table moved to the encoded map
+// instead.
+func (t *aggTable) packKeys(b *vector.Batch, n int) bool {
+	t.keys = scratch(t.keys, n)
+	clear(t.keys)
+	for c := range t.cols {
+		kc := &t.cols[c]
+		t.ids = scratch(t.ids, n)
+		kc.fill(b.Vecs[t.groupBy[c]], t.ids, !t.spilling)
+		if w := uint(bits.Len64(kc.n)); w > t.width[c] && !t.widen(c, w) {
+			return false
+		}
+		for i, id := range t.ids {
+			t.keys[i] |= id << t.shift[c]
+		}
+	}
+	return true
+}
+
+// scratch returns s resized to n, reallocating it when it is too short.
+func scratch[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// loadKey copies row i's group-by values into t.keyVals.
+func (t *aggTable) loadKey(b *vector.Batch, i int) {
+	for c, g := range t.groupBy {
+		t.keyVals[c] = b.Vecs[g].Value(i)
+	}
 }
 
 func (t *aggTable) startSpilling() {
@@ -307,220 +450,88 @@ func (t *aggTable) startSpilling() {
 	}
 }
 
-// spillRow routes physical row i of a (compacted) batch to a partition by
-// group-key hash; the partition writes dict-coded cells as raw codes.
-func (t *aggTable) spillRow(b *vector.Batch, i int, key string) error {
-	part := int(hashString(key)>>57) % aggSpillPartitions
-	return t.parts[part].addBatchRow(b, i)
-}
-
 // addBatch folds one compacted batch into the table. Aggregation is
-// vectorized: group pointers are resolved per batch (with the single-column
-// fast paths), each aggregate argument is evaluated once per batch into a
-// vector, and accumulation runs in tight loops over the vector payloads.
+// vectorized: the group of every row is resolved first, each aggregate
+// argument is evaluated once per batch into a vector, and accumulation runs
+// in tight loops over the vector payloads.
 func (t *aggTable) addBatch(b *vector.Batch) error {
 	b.Compact()
 	n := b.NumRows()
 	if n == 0 {
 		return nil
 	}
-	if cap(t.ptrs) < n {
-		t.ptrs = make([]*aggGroup, n)
+	t.ptrs = scratch(t.ptrs, n)
+	packed := t.cols != nil && t.packKeys(b, n)
+	if packed {
+		mAggBatchesPacked.Inc()
+	} else {
+		mAggBatchesEncoded.Inc()
 	}
-	ptrs := t.ptrs[:n]
-
-	// Resolve the group of every row.
-	switch {
-	case t.scalarGroup != nil:
-		for i := range ptrs {
-			ptrs[i] = t.scalarGroup
-		}
-	case t.fastInt:
-		mAggBatchesFastInt.Inc()
-		vec := b.Vecs[t.groupBy[0]]
-		typ := t.inSchema.Cols[t.groupBy[0]].Typ
-		for i := 0; i < n; i++ {
-			if vec.IsNull(i) {
-				if t.nullGroup == nil {
-					cost := int64(64 + 64*len(t.aggs))
-					if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-						// A single NULL group is cheap; charge it anyway.
-						t.tracker.Release(0)
-					} else {
-						t.reserved += cost
-					}
-					t.nullGroup = newAggGroup(t.aggs, sqltypes.Row{sqltypes.NewNull(typ)})
-					t.order = append(t.order, t.nullGroup)
-				}
-				ptrs[i] = t.nullGroup
-				continue
-			}
-			k := vec.I64[i]
-			grp := t.intGroups[k]
-			if grp == nil {
-				if t.spilling {
-					t.keyVals[0] = sqltypes.Value{Typ: typ, I: k}
-					if err := t.spillRow(b, i, string(exec.EncodeKey(nil, t.keyVals))); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				cost := int64(64 + 64*len(t.aggs))
-				if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-					t.tracker.NoteSpill()
-					t.startSpilling()
-					t.keyVals[0] = sqltypes.Value{Typ: typ, I: k}
-					if err := t.spillRow(b, i, string(exec.EncodeKey(nil, t.keyVals))); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				t.reserved += cost
-				grp = newAggGroup(t.aggs, sqltypes.Row{{Typ: typ, I: k}})
-				t.intGroups[k] = grp
-				t.order = append(t.order, grp)
-			}
-			ptrs[i] = grp
-		}
-	case t.fastStr:
-		vec := b.Vecs[t.groupBy[0]]
-		if vec.IsCoded() {
-			if t.codedDict == nil {
-				t.codedDict = vec.Dict
-				t.codedVals = vec.DictVals
-				if len(t.codedVals) <= denseDictLimit {
-					t.codeArr = make([]*aggGroup, len(t.codedVals))
-				} else {
-					t.codeMap = make(map[uint64]*aggGroup, 1024)
-				}
-			} else if vec.Dict == t.codedDict && len(vec.DictVals) > len(t.codedVals) {
-				t.codedVals = vec.DictVals
-			}
-		}
-		sameDict := vec.IsCoded() && vec.Dict == t.codedDict
-		if sameDict {
-			mAggBatchesCoded.Inc()
+	for i := range t.ptrs {
+		var g *aggGroup
+		if packed {
+			g = t.lookup(t.keys[i])
 		} else {
-			mAggBatchesStr.Inc()
+			t.loadKey(b, i)
+			t.keyBuf = exec.EncodeKey(t.keyBuf[:0], t.keyVals)
+			g = t.groups[string(t.keyBuf)]
 		}
-		for i := 0; i < n; i++ {
-			if vec.IsNull(i) {
-				if t.nullGroup == nil {
-					cost := int64(64 + 64*len(t.aggs))
-					if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-						t.tracker.Release(0)
-					} else {
-						t.reserved += cost
-					}
-					t.nullGroup = newAggGroup(t.aggs, sqltypes.Row{sqltypes.NewNull(sqltypes.String)})
-					t.order = append(t.order, t.nullGroup)
-				}
-				ptrs[i] = t.nullGroup
-				continue
+		if g == nil {
+			var err error
+			if g, err = t.newGroup(b, i, packed); err != nil {
+				return err
 			}
-			var code uint64
-			var s string
-			haveCode := false
-			if sameDict {
-				code = vec.Codes[i]
-				haveCode = true
-			} else {
-				s = vec.StrAt(i)
-				if t.codedDict != nil {
-					if id, ok := t.codedDict.Lookup(s); ok {
-						code, haveCode = uint64(id), true
-					}
-				}
-			}
-			var grp *aggGroup
-			if haveCode {
-				grp = t.lookupCode(code)
-			} else {
-				grp = t.strGroups[s]
-			}
-			if grp == nil {
-				if haveCode {
-					if sameDict {
-						s = t.codedVals[code] // decode once per new group
-					}
-					// The value may already own a group created from a
-					// materialized row before any coded batch arrived.
-					if g2 := t.strGroups[s]; g2 != nil {
-						t.storeCode(code, g2)
-						ptrs[i] = g2
-						continue
-					}
-				}
-				if t.spilling {
-					if err := t.spillRow(b, i, s); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				cost := int64(64+len(s)) + int64(64*len(t.aggs))
-				if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-					t.tracker.NoteSpill()
-					t.startSpilling()
-					if err := t.spillRow(b, i, s); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				t.reserved += cost
-				grp = newAggGroup(t.aggs, sqltypes.Row{sqltypes.NewString(s)})
-				if haveCode {
-					t.storeCode(code, grp)
-				} else {
-					t.strGroups[s] = grp
-				}
-				t.order = append(t.order, grp)
-			}
-			ptrs[i] = grp
 		}
-	default:
-		mAggBatchesGeneric.Inc()
-		for i := 0; i < n; i++ {
-			for c, g := range t.groupBy {
-				t.keyVals[c] = b.Vecs[g].Value(i)
-			}
-			key := string(exec.EncodeKey(nil, t.keyVals))
-			grp := t.groups[key]
-			if grp == nil {
-				if t.spilling {
-					if err := t.spillRow(b, i, key); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				cost := rowBytes(t.keyVals) + int64(64*len(t.aggs))
-				if !t.tracker.TryReserve(cost) && t.spillStore != nil {
-					t.tracker.NoteSpill()
-					t.startSpilling()
-					if err := t.spillRow(b, i, key); err != nil {
-						return err
-					}
-					ptrs[i] = nil
-					continue
-				}
-				t.reserved += cost
-				grp = newAggGroup(t.aggs, t.keyVals.Clone())
-				t.groups[key] = grp
-				t.order = append(t.order, grp)
-			}
-			ptrs[i] = grp
-		}
+		t.ptrs[i] = g
 	}
-
-	// Accumulate each aggregate over the batch.
 	for k := range t.aggs {
-		t.accumulate(k, b, ptrs, t.argVecs[k])
+		t.accumulate(k, b, t.ptrs, t.argVecs[k])
 	}
 	return nil
+}
+
+// newGroup creates the group of row i under the memory grant. Once the grant
+// is exhausted (and a spill store is set) it routes the row, and every later
+// row without a group, to a spill partition by key hash, and returns nil.
+func (t *aggTable) newGroup(b *vector.Batch, i int, packed bool) (*aggGroup, error) {
+	if packed {
+		t.loadKey(b, i)
+	}
+	cost := rowBytes(t.keyVals) + int64(64*len(t.aggs))
+	if !t.spilling {
+		if t.tracker.TryReserve(cost) {
+			t.reserved += cost
+		} else if t.spillStore != nil {
+			t.tracker.NoteSpill()
+			t.startSpilling()
+		}
+	}
+	if t.spilling {
+		t.keyBuf = exec.EncodeKey(t.keyBuf[:0], t.keyVals)
+		return nil, t.parts[int(hashString(string(t.keyBuf))>>57)%aggSpillPartitions].addBatchRow(b, i)
+	}
+	g := newAggGroup(t.aggs, t.keyVals.Clone())
+	if packed {
+		g.key = t.keys[i]
+		t.put(g.key, g)
+	} else {
+		t.groups[string(t.keyBuf)] = g
+	}
+	t.order = append(t.order, g)
+	return g, nil
+}
+
+// groupOf finds or creates, without grant accounting, the group of keyVals
+// in a table on the encoded map.
+func (t *aggTable) groupOf(keyVals sqltypes.Row) *aggGroup {
+	t.keyBuf = exec.EncodeKey(t.keyBuf[:0], keyVals)
+	g := t.groups[string(t.keyBuf)]
+	if g == nil {
+		g = newAggGroup(t.aggs, keyVals.Clone())
+		t.groups[string(t.keyBuf)] = g
+		t.order = append(t.order, g)
+	}
+	return g
 }
 
 // results finalizes the in-memory groups and then the spilled partitions.
@@ -528,9 +539,9 @@ func (t *aggTable) addBatch(b *vector.Batch) error {
 // in-memory groups were created before spilling began and absorb their rows
 // directly), so partitions are aggregated independently in memory.
 func (t *aggTable) results(ctx context.Context) ([]sqltypes.Row, error) {
-	var results []sqltypes.Row
-	for _, grp := range t.order {
-		results = append(results, grp.finalize(t.aggs))
+	results, err := finalizeAll(nil, t.aggs, t.order)
+	if err != nil {
+		return nil, err
 	}
 	for _, part := range t.parts {
 		if err := ctx.Err(); err != nil {
@@ -540,26 +551,28 @@ func (t *aggTable) results(ctx context.Context) ([]sqltypes.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		pgroups := make(map[string]*aggGroup)
-		var porder []*aggGroup
+		pt := newAggTable(t.inSchema, t.groupBy, t.aggs, nil, nil)
+		pt.toEncoded()
 		for _, r := range rows {
-			for c, g := range t.groupBy {
-				t.keyVals[c] = r[g]
-			}
-			key := string(exec.EncodeKey(nil, t.keyVals))
-			grp := pgroups[key]
-			if grp == nil {
-				grp = newAggGroup(t.aggs, t.keyVals.Clone())
-				pgroups[key] = grp
-				porder = append(porder, grp)
-			}
-			grp.add(t.aggs, r)
+			pt.foldRow(r)
 		}
-		for _, grp := range porder {
-			results = append(results, grp.finalize(t.aggs))
+		if results, err = finalizeAll(results, t.aggs, pt.order); err != nil {
+			return nil, err
 		}
 	}
 	return results, nil
+}
+
+// finalizeAll appends the finalized rows of groups to dst.
+func finalizeAll(dst []sqltypes.Row, aggs []exec.AggSpec, groups []*aggGroup) ([]sqltypes.Row, error) {
+	for _, g := range groups {
+		row, err := g.finalize(aggs)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, row)
+	}
+	return dst, nil
 }
 
 // release returns the table's memory grant and drops any unread spill blobs.
@@ -636,7 +649,7 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 			}
 			st.distinct[key] = true
 			st.count++
-			st.add(spec.Kind, v)
+			st.add(spec, v)
 		}
 		return
 	}
@@ -644,26 +657,14 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 	switch {
 	case (spec.Kind == exec.Sum || spec.Kind == exec.Avg) && argVec.Typ != sqltypes.Float64 && argVec.Typ != sqltypes.String:
 		vals := argVec.I64[:n]
-		if argVec.HasNulls() {
-			for i, g := range ptrs {
-				if g == nil || argVec.Nulls.Get(i) {
-					continue
-				}
-				st := &g.states[k]
-				st.count++
-				st.sumI += vals[i]
-				st.sumF.Add(float64(vals[i]))
+		hasNulls := argVec.HasNulls()
+		for i, g := range ptrs {
+			if g == nil || hasNulls && argVec.Nulls.Get(i) {
+				continue
 			}
-		} else {
-			for i, g := range ptrs {
-				if g == nil {
-					continue
-				}
-				st := &g.states[k]
-				st.count++
-				st.sumI += vals[i]
-				st.sumF.Add(float64(vals[i]))
-			}
+			st := &g.states[k]
+			st.count++
+			st.addInt(vals[i])
 		}
 	case (spec.Kind == exec.Sum || spec.Kind == exec.Avg) && argVec.Typ == sqltypes.Float64:
 		vals := argVec.F64[:n]
@@ -682,19 +683,27 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 			}
 			st := &g.states[k]
 			st.count++
-			st.add(spec.Kind, argVec.Value(i))
+			st.add(spec, argVec.Value(i))
 		}
 	}
 }
 
-// add folds one non-NULL value into the state for Min/Max/Count (Sum/Avg use
-// the vectorized loops; callers have already bumped count except for Min/Max
-// paths that share this helper).
-func (st *aggAcc) add(kind exec.AggKind, v sqltypes.Value) {
-	switch kind {
+// addInt adds v to the exact 128-bit sum.
+func (st *aggAcc) addInt(v int64) {
+	var carry uint64
+	st.sumLo, carry = bits.Add64(st.sumLo, uint64(v), 0)
+	st.sumHi += v>>63 + int64(carry)
+}
+
+// add folds one non-NULL value into the state; callers count it.
+func (st *aggAcc) add(spec *exec.AggSpec, v sqltypes.Value) {
+	switch spec.Kind {
 	case exec.Sum, exec.Avg:
-		st.sumI += v.I
-		st.sumF.Add(v.AsFloat())
+		if spec.Arg.Type() == sqltypes.Float64 {
+			st.sumF.Add(v.AsFloat())
+		} else {
+			st.addInt(v.I)
+		}
 	case exec.Min:
 		if !st.seen || sqltypes.Compare(v, st.min) < 0 {
 			st.min = v

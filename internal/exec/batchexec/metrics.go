@@ -25,14 +25,10 @@ var (
 	mScanColsMaterialized = metrics.Default.Counter("apollo_scan_string_cols_materialized_total",
 		"per-batch string columns eagerly decoded (local-dict fallback)")
 
-	mAggBatchesFastInt = metrics.Default.Counter(`apollo_hashagg_batches_total{path="fastint"}`,
-		"batches aggregated, by group-resolution path")
-	mAggBatchesCoded = metrics.Default.Counter(`apollo_hashagg_batches_total{path="faststr_coded"}`,
-		"batches aggregated, by group-resolution path")
-	mAggBatchesStr = metrics.Default.Counter(`apollo_hashagg_batches_total{path="faststr"}`,
-		"batches aggregated, by group-resolution path")
-	mAggBatchesGeneric = metrics.Default.Counter(`apollo_hashagg_batches_total{path="generic"}`,
-		"batches aggregated, by group-resolution path")
+	mAggBatchesPacked = metrics.Default.Counter(`apollo_hashagg_batches_total{path="packed"}`,
+		"batches aggregated, by group-key path")
+	mAggBatchesEncoded = metrics.Default.Counter(`apollo_hashagg_batches_total{path="encoded"}`,
+		"batches aggregated, by group-key path")
 
 	mJoinBatchesInt = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="int"}`,
 		"probe batches joined, by probe path")

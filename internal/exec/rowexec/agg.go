@@ -1,15 +1,22 @@
 package rowexec
 
 import (
+	"fmt"
+	"math/bits"
+
 	"apollo/internal/exec"
 	"apollo/internal/expr"
 	"apollo/internal/sqltypes"
 )
 
-// aggState accumulates one aggregate for one group.
+// aggState accumulates one aggregate for one group. An integer SUM or AVG is
+// exact: sumHi and sumLo hold the total as one two's-complement 128-bit
+// number, as the batch engine's accumulator does; a float SUM or AVG
+// accumulates in sumF.
 type aggState struct {
 	count    int64 // non-NULL inputs (or all rows for COUNT(*))
-	sumI     int64
+	sumLo    uint64
+	sumHi    int64
 	sumF     exec.FloatSum
 	min, max sqltypes.Value
 	seen     bool
@@ -44,8 +51,13 @@ func (st *aggState) add(spec exec.AggSpec, row sqltypes.Row) {
 	st.count++
 	switch spec.Kind {
 	case exec.Sum, exec.Avg:
-		st.sumI += v.I
-		st.sumF.Add(v.AsFloat())
+		if spec.Arg.Type() == sqltypes.Float64 {
+			st.sumF.Add(v.AsFloat())
+		} else {
+			var carry uint64
+			st.sumLo, carry = bits.Add64(st.sumLo, uint64(v.I), 0)
+			st.sumHi += v.I>>63 + int64(carry)
+		}
 	case exec.Min:
 		if !st.seen || sqltypes.Compare(v, st.min) < 0 {
 			st.min = v
@@ -58,34 +70,44 @@ func (st *aggState) add(spec exec.AggSpec, row sqltypes.Row) {
 	st.seen = true
 }
 
-// result finalizes the aggregate value.
-func (st *aggState) result(spec exec.AggSpec) sqltypes.Value {
+// result finalizes the aggregate value. An integer SUM whose exact total
+// leaves the int64 range is an arithmetic overflow.
+func (st *aggState) result(spec exec.AggSpec) (sqltypes.Value, error) {
 	switch spec.Kind {
 	case exec.CountStar, exec.Count:
-		return sqltypes.NewInt(st.count)
+		return sqltypes.NewInt(st.count), nil
 	case exec.Sum:
-		if st.count == 0 {
-			return sqltypes.NewNull(spec.ResultType())
+		switch {
+		case st.count == 0:
+			return sqltypes.NewNull(spec.ResultType()), nil
+		case spec.ResultType() == sqltypes.Float64:
+			return sqltypes.NewFloat(st.sumF.Value()), nil
+		case st.sumHi != int64(st.sumLo)>>63:
+			return sqltypes.Value{}, fmt.Errorf("arithmetic overflow: %s leaves the BIGINT range", spec.Name)
 		}
-		if spec.ResultType() == sqltypes.Float64 {
-			return sqltypes.NewFloat(st.sumF.Value())
-		}
-		return sqltypes.NewInt(st.sumI)
+		return sqltypes.NewInt(int64(st.sumLo)), nil
 	case exec.Avg:
-		if st.count == 0 {
-			return sqltypes.NewNull(sqltypes.Float64)
+		switch {
+		case st.count == 0:
+			return sqltypes.NewNull(sqltypes.Float64), nil
+		case spec.Arg.Type() == sqltypes.Float64:
+			return sqltypes.NewFloat(st.sumF.Value() / float64(st.count)), nil
 		}
-		return sqltypes.NewFloat(st.sumF.Value() / float64(st.count))
+		sum := float64(int64(st.sumLo)) // exactly rounded while it fits an int64
+		if st.sumHi != int64(st.sumLo)>>63 {
+			sum = float64(st.sumHi)*0x1p64 + float64(st.sumLo)
+		}
+		return sqltypes.NewFloat(sum / float64(st.count)), nil
 	case exec.Min:
 		if !st.seen {
-			return sqltypes.NewNull(spec.ResultType())
+			return sqltypes.NewNull(spec.ResultType()), nil
 		}
-		return st.min
+		return st.min, nil
 	default: // Max
 		if !st.seen {
-			return sqltypes.NewNull(spec.ResultType())
+			return sqltypes.NewNull(spec.ResultType()), nil
 		}
-		return st.max
+		return st.max, nil
 	}
 }
 
@@ -174,7 +196,11 @@ func (h *HashAggregate) Open() error {
 		out := make(sqltypes.Row, 0, h.schema.Len())
 		out = append(out, grp.keyVals...)
 		for i, spec := range h.Aggs {
-			out = append(out, grp.states[i].result(spec))
+			v, err := grp.states[i].result(spec)
+			if err != nil {
+				return err
+			}
+			out = append(out, v)
 		}
 		h.results = append(h.results, out)
 	}

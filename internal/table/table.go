@@ -559,7 +559,9 @@ func (t *Table) UpdateWhere(pred func(sqltypes.Row) bool, set func(sqltypes.Row)
 
 // UpdateWhereTxn applies set to every row matching pred on behalf of tx
 // (delete + insert under one write context, so both halves carry the same
-// timestamp and no snapshot sees the delete without the insert).
+// timestamp and no snapshot sees the delete without the insert). Every new
+// row is computed and checked before the first write, so a row that fails
+// the check leaves the table as it was.
 func (t *Table) UpdateWhereTxn(tx TxnRef, pred func(sqltypes.Row) bool, set func(sqltypes.Row) sqltypes.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -569,15 +571,21 @@ func (t *Table) UpdateWhereTxn(tx TxnRef, pred func(sqltypes.Row) bool, set func
 	if err != nil {
 		return 0, err
 	}
-	n := 0
-	for _, loc := range locs {
+	updates := make([]sqltypes.Row, len(locs))
+	for i, loc := range locs {
 		row, ok := t.fetchRowViewLocked(loc, wc.asOf, wc.self)
 		if !ok {
 			continue
 		}
-		updated := set(row.Clone())
-		if err := t.checkRow(updated); err != nil {
-			return n, err
+		updates[i] = set(row.Clone())
+		if err := t.checkRow(updates[i]); err != nil {
+			return 0, err
+		}
+	}
+	n := 0
+	for i, loc := range locs {
+		if updates[i] == nil {
+			continue
 		}
 		deleted, err := t.deleteAtLocked(loc, wc)
 		if err != nil {
@@ -586,7 +594,7 @@ func (t *Table) UpdateWhereTxn(tx TxnRef, pred func(sqltypes.Row) bool, set func
 		if !deleted {
 			continue
 		}
-		if _, _, err := t.insertOpenLocked(t.coerceRow(updated), wc); err != nil {
+		if _, _, err := t.insertOpenLocked(t.coerceRow(updates[i]), wc); err != nil {
 			return n, err
 		}
 		n++

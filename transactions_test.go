@@ -602,3 +602,86 @@ func TestTxnSnapshotPropertyUnderChurn(t *testing.T) {
 		})
 	}
 }
+
+// A failing UPDATE changes no row: every new row is computed and checked
+// before the first write, whether the matching rows sit in a compressed
+// group or in the delta store, in autocommit and inside a transaction whose
+// COMMIT then persists nothing of it.
+func TestUpdateFailureWritesNothing(t *testing.T) {
+	open := map[string]func(t *testing.T) (*apollo.DB, func() *apollo.DB){
+		"Open": func(t *testing.T) (*apollo.DB, func() *apollo.DB) {
+			db := apollo.Open(updateFailureConfig())
+			return db, func() *apollo.DB { return db }
+		},
+		"OpenDir": func(t *testing.T) (*apollo.DB, func() *apollo.DB) {
+			dir := t.TempDir()
+			db, err := apollo.OpenDir(dir, updateFailureConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db, func() *apollo.DB {
+				db.Close()
+				if db, err = apollo.OpenDir(dir, updateFailureConfig()); err != nil {
+					t.Fatal(err)
+				}
+				return db
+			}
+		},
+	}
+	const want = "1:1 2:2 3:3 4:4 5:5 6:6 7:7 8:8"
+	for name, mk := range open {
+		// The division by zero makes v NULL at id 2 (compressed) or 7
+		// (delta), after the rows before it already have their new value.
+		for _, zero := range []int{2, 7} {
+			for _, inTxn := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/zero_at_%d/txn=%v", name, zero, inTxn), func(t *testing.T) {
+					db, reopen := mk(t)
+					db.MustExec("CREATE TABLE t (id BIGINT, v BIGINT NOT NULL)")
+					db.MustExec("INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, 4)") // one compressed group
+					for id := 5; id <= 8; id++ {
+						db.MustExec(fmt.Sprintf("INSERT INTO t VALUES (%d, %d)", id, id)) // delta store
+					}
+					res, err := db.Query("SELECT SUM(v) FROM t WHERE v > 0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Stats.RowGroups != 1 || res.Stats.DeltaRowsScanned != 4 {
+						t.Fatalf("fixture: %d row groups, %d delta rows; want 1 and 4", res.Stats.RowGroups, res.Stats.DeltaRowsScanned)
+					}
+					update := fmt.Sprintf("UPDATE t SET v = 10 / (id - %d)", zero)
+					if inTxn {
+						tx, err := db.Begin(context.Background())
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, err := tx.Exec(update); err == nil {
+							t.Fatal("UPDATE writing NULL into a NOT NULL column succeeded")
+						}
+						if err := tx.Commit(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+					} else if _, err := db.Exec(update); err == nil {
+						t.Fatal("UPDATE writing NULL into a NOT NULL column succeeded")
+					}
+					db = reopen()
+					defer db.Close()
+					got := ""
+					for _, r := range mustRows(t, db, "SELECT id, v FROM t ORDER BY id") {
+						got += fmt.Sprintf(" %d:%d", r[0].I, r[1].I)
+					}
+					if got[1:] != want {
+						t.Fatalf("after the failed UPDATE: %s, want %s", got[1:], want)
+					}
+				})
+			}
+		}
+	}
+}
+
+func updateFailureConfig() apollo.Config {
+	cfg := apollo.DefaultConfig()
+	cfg.RowGroupSize = 4
+	cfg.BulkLoadThreshold = 4
+	cfg.TupleMoverInterval = 0 // the four trickled rows stay in the delta store
+	return cfg
+}
