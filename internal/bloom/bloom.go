@@ -148,7 +148,7 @@ func (f *Filter) MayContain(v sqltypes.Value) bool {
 	case v.Null || v.Typ == sqltypes.String:
 		return false
 	case v.Typ == sqltypes.Float64:
-		i, ok := integral(v.F)
+		i, ok := sqltypes.IntegralFloat(v.F)
 		return ok && f.MayContainInt(i)
 	default:
 		return f.MayContainInt(v.I)
@@ -207,22 +207,13 @@ func HashValue(v sqltypes.Value) uint64 {
 		}
 		return splitmix64(h)
 	case sqltypes.Float64:
-		if i, ok := integral(v.F); ok {
+		if i, ok := sqltypes.IntegralFloat(v.F); ok {
 			return splitmix64(uint64(i))
 		}
 		return splitmix64(math.Float64bits(v.F) | 1<<63>>1)
 	default:
 		return splitmix64(uint64(v.I))
 	}
-}
-
-// integral returns f as an integer when it is one that both layouts match
-// against integer keys.
-func integral(f float64) (int64, bool) {
-	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return int64(f), true
-	}
-	return 0, false
 }
 
 // splitmix64 is a strong, cheap 64-bit mixer.

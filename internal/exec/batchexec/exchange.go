@@ -17,15 +17,15 @@
 //     build row is matched by exactly one goroutine and outer/semi/anti
 //     semantics hold per partition.
 //
-// Both preserve the PR-2 code-space paths: batches cross the exchange in
-// dict-coded form (gatherVec moves codes, never strings), partial aggregation
-// groups on codes, and partition cores keep the htCode probe fast paths.
+// Both keep strings in code space: batches cross the exchange in dict-coded
+// form (gatherVec moves codes, never strings), and partial aggregation and
+// partition cores resolve each dictionary code to a key id at most once
+// (keys.go). Partitions come from the one value hash, keyHasher.
 package batchexec
 
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"time"
 
@@ -315,88 +315,6 @@ func (t *aggTable) foldRow(r sqltypes.Row) {
 
 // --- Partitioned parallel hash join runtime ---
 
-// exchangeHashNull is the hash contribution of a NULL key: NULLs never match,
-// but outer joins must still route the row somewhere deterministic.
-const exchangeHashNull = 0x9e3779b97f4a7c15
-
-// exchangeMix folds one canonical 64-bit value into an FNV-1a accumulator,
-// byte by byte, matching hashString's dispersion.
-func exchangeMix(acc, v uint64) uint64 {
-	for s := uint(0); s < 64; s += 8 {
-		acc = (acc ^ ((v >> s) & 0xff)) * 1099511628211
-	}
-	return acc
-}
-
-// rowPartitioner returns a row→partition map over the given key columns. The
-// hash must agree between the build and probe sides for equal key values
-// regardless of physical representation, mirroring exec.EncodeKey's
-// canonical forms: dict-coded strings hash their decoded value (memoized per
-// dictionary code — one decode per distinct value, not per row), and
-// integral floats hash like ints. NULL keys land in partition 0, like the
-// grace-hash partitioner.
-func rowPartitioner(vecs []*vector.Vector, keys []int, nParts int) func(i int) int {
-	hashers := make([]func(i int) (uint64, bool), len(keys))
-	for ki, c := range keys {
-		v := vecs[c]
-		switch {
-		case v.Typ == sqltypes.String && v.IsCoded():
-			memo := make([]uint64, len(v.DictVals))
-			have := make([]bool, len(v.DictVals))
-			vals := v.DictVals
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				code := v.Codes[i]
-				if !have[code] {
-					memo[code] = hashString(vals[code])
-					have[code] = true
-				}
-				return memo[code], false
-			}
-		case v.Typ == sqltypes.String:
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				return hashString(v.StrAt(i)), false
-			}
-		case v.Typ == sqltypes.Float64:
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				f := v.F64[i]
-				if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-					return uint64(int64(f)), false
-				}
-				return math.Float64bits(f), false
-			}
-		default: // Int64, Date, Bool
-			hashers[ki] = func(i int) (uint64, bool) {
-				if v.IsNull(i) {
-					return 0, true
-				}
-				return uint64(v.I64[i]), false
-			}
-		}
-	}
-	return func(i int) int {
-		var acc uint64 = 14695981039346656037
-		for _, h := range hashers {
-			hv, null := h(i)
-			if null {
-				return 0
-			}
-			acc = exchangeMix(acc, hv)
-		}
-		// High bits: the low bits feed the in-memory hash tables and the
-		// grace-hash spill partitioner uses >>57.
-		return int(acc>>33) % nParts
-	}
-}
-
 // parallelJoin is the runtime state of a partitioned parallel probe phase:
 // splitter goroutines pull probe batches from the worker pipes and route
 // per-partition sub-batches to prober goroutines (one per partition, each
@@ -432,10 +350,11 @@ func (h *HashJoin) startParallel(ctx context.Context, build *buildSide) error {
 	nParts := h.Parallel
 
 	// Partition build rows by key hash; each partition gets a private core.
-	part := rowPartitioner(build.cols, h.BuildKeys, nParts)
+	// The exchange hashes values, not packed ids: ids belong to one core's
+	// table, and the splitters route probe rows before any core exists.
 	idxs := make([][]int32, nParts)
-	for i := 0; i < build.len; i++ {
-		p := part(i)
+	for i, hv := range h.hasher.hash(build.cols, h.BuildKeys, build.len) {
+		p := partOf(hv, nParts)
 		idxs[p] = append(idxs[p], int32(i))
 	}
 	bs := h.Build.Schema()
@@ -551,7 +470,7 @@ func (h *HashJoin) splitProbe(ctx context.Context, pj *parallelJoin, pipe Operat
 	defer pipe.Close()
 	nParts := len(route)
 	schema := pipe.Schema()
-	var pbuf []int32
+	var kh keyHasher
 	for {
 		if ctx.Err() != nil {
 			return
@@ -571,28 +490,24 @@ func (h *HashJoin) splitProbe(ctx context.Context, pj *parallelJoin, pipe Operat
 		if n == 0 {
 			continue
 		}
-		part := rowPartitioner(b.Vecs, h.ProbeKeys, nParts)
-		if cap(pbuf) < n {
-			pbuf = make([]int32, n)
-		}
-		pbuf = pbuf[:n]
+		hs := kh.hash(b.Vecs, h.ProbeKeys, n)
 		uniform := true
-		for i := 0; i < n; i++ {
-			pbuf[i] = int32(part(i))
-			uniform = uniform && pbuf[i] == pbuf[0]
+		for i, hv := range hs {
+			hs[i] = uint64(partOf(hv, nParts))
+			uniform = uniform && hs[i] == hs[0]
 		}
 		if uniform {
 			// Whole batch owned by one partition: forward it without copying.
 			select {
-			case route[pbuf[0]] <- b:
+			case route[hs[0]] <- b:
 			case <-ctx.Done():
 				return
 			}
 			continue
 		}
 		lists := make([][]int32, nParts)
-		for i := 0; i < n; i++ {
-			lists[pbuf[i]] = append(lists[pbuf[i]], int32(i))
+		for i, p := range hs {
+			lists[p] = append(lists[p], int32(i))
 		}
 		for p, l := range lists {
 			if len(l) == 0 {

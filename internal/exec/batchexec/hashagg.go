@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"apollo/internal/encoding"
 	"apollo/internal/exec"
 	"apollo/internal/sqltypes"
 	"apollo/internal/storage"
@@ -196,83 +195,6 @@ func sumFloat(hi int64, lo uint64) float64 {
 
 const aggSpillPartitions = 8
 
-// Packed group keys. Each group-by column maps its values to small ids
-// (keyCol); the ids of a row, each in its column's current width, pack into
-// one uint64, and that key indexes the group table: a dense slice while the
-// widths sum to at most denseKeyBits, a map beyond. Widths grow as columns
-// hand out ids, repacking the groups' keys. A float key column, or widths
-// summing past packedKeyBits, move the table once onto the exec.EncodeKey
-// map. Bit 63 of a key marks a row with a value that has no id, which no
-// group can hold (see keyCol.fill).
-const (
-	denseKeyBits = 14
-	noID         = ^uint64(0)
-	memoLimit    = 1 << 14 // codes the per-code memo covers; higher codes decode
-)
-
-// packedKeyBits is a variable so that tests can force the move to the
-// encoded map; it never exceeds 63.
-var packedKeyBits uint = 63
-
-// keyCol hands out the ids of one group-by column: 0 is NULL, values get
-// 1, 2, ... in order of appearance. Strings share one id whether they arrive
-// dict-coded or materialized; codes of the column's first dictionary go
-// through a per-code memo, codes of any other dictionary decode.
-type keyCol struct {
-	n    uint64 // ids handed out
-	ints map[int64]uint64
-	strs map[string]uint64
-	dict *encoding.Dict
-	memo []uint64 // code -> id of dict; 0 while unresolved
-}
-
-// idOf returns the id of k in m, handing out the next id when assign is set
-// and noID otherwise.
-func idOf[K comparable](m map[K]uint64, k K, n *uint64, assign bool) uint64 {
-	if id, ok := m[k]; ok {
-		return id
-	}
-	if !assign {
-		return noID
-	}
-	*n++
-	m[k] = *n
-	return *n
-}
-
-// fill writes the id of every row of v to ids. While the table spills, new
-// values get noID instead of an id: they cannot belong to a group in memory,
-// and noID shifted by any width sets bit 63 of the packed key.
-func (kc *keyCol) fill(v *vector.Vector, ids []uint64, assign bool) {
-	coded := v.IsCoded()
-	if coded && kc.dict == nil {
-		kc.dict = v.Dict
-	}
-	coded = coded && v.Dict == kc.dict
-	if want := min(len(v.DictVals), memoLimit); coded && len(kc.memo) < want {
-		kc.memo = append(kc.memo, make([]uint64, want-len(kc.memo))...)
-	}
-	for i := range ids {
-		switch {
-		case v.IsNull(i):
-			ids[i] = 0
-		case coded && v.Codes[i] < uint64(len(kc.memo)):
-			c := v.Codes[i]
-			id := kc.memo[c]
-			if id == 0 {
-				if id = idOf(kc.strs, v.DictVals[c], &kc.n, assign); id != noID {
-					kc.memo[c] = id
-				}
-			}
-			ids[i] = id
-		case v.Typ == sqltypes.String:
-			ids[i] = idOf(kc.strs, v.StrAt(i), &kc.n, assign)
-		default:
-			ids[i] = idOf(kc.ints, v.I64[i], &kc.n, assign)
-		}
-	}
-}
-
 // aggTable holds the grouping and accumulation state of one hash aggregation:
 // the group table, the groups in first-seen order, and the spill partitions.
 // HashAgg drives one table over its whole input; ParallelAgg drives one table
@@ -297,6 +219,7 @@ type aggTable struct {
 	packed       map[uint64]*aggGroup
 	groups       map[string]*aggGroup // keyed by exec.EncodeKey
 	keys, ids    []uint64
+	hasher       keyHasher // its hashes are the batch's while spilling
 	keyBuf       []byte
 	keyVals      sqltypes.Row
 	ptrs         []*aggGroup
@@ -324,14 +247,9 @@ func newAggTable(inSchema *sqltypes.Schema, groupBy []int, aggs []exec.AggSpec, 
 	}
 	float := false
 	for c, g := range groupBy {
-		switch inSchema.Cols[g].Typ {
-		case sqltypes.Float64:
-			float = true
-		case sqltypes.String:
-			t.cols[c].strs = make(map[string]uint64)
-		default:
-			t.cols[c].ints = make(map[int64]uint64)
-		}
+		typ := inSchema.Cols[g].Typ
+		float = float || typ == sqltypes.Float64
+		t.cols[c] = newKeyCol(typ)
 	}
 	if len(groupBy) == 0 {
 		// The scalar group exists even over empty input, at key 0.
@@ -420,19 +338,9 @@ func (t *aggTable) packKeys(b *vector.Batch, n int) bool {
 		if w := uint(bits.Len64(kc.n)); w > t.width[c] && !t.widen(c, w) {
 			return false
 		}
-		for i, id := range t.ids {
-			t.keys[i] |= id << t.shift[c]
-		}
+		pack(t.keys, t.ids, t.shift[c], false)
 	}
 	return true
-}
-
-// scratch returns s resized to n, reallocating it when it is too short.
-func scratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // loadKey copies row i's group-by values into t.keyVals.
@@ -461,6 +369,9 @@ func (t *aggTable) addBatch(b *vector.Batch) error {
 		return nil
 	}
 	t.ptrs = scratch(t.ptrs, n)
+	if t.spilling {
+		t.hasher.hash(b.Vecs, t.groupBy, n)
+	}
 	packed := t.cols != nil && t.packKeys(b, n)
 	if packed {
 		mAggBatchesPacked.Inc()
@@ -504,11 +415,11 @@ func (t *aggTable) newGroup(b *vector.Batch, i int, packed bool) (*aggGroup, err
 		} else if t.spillStore != nil {
 			t.tracker.NoteSpill()
 			t.startSpilling()
+			t.hasher.hash(b.Vecs, t.groupBy, b.NumRows())
 		}
 	}
 	if t.spilling {
-		t.keyBuf = exec.EncodeKey(t.keyBuf[:0], t.keyVals)
-		return nil, t.parts[int(hashString(string(t.keyBuf))>>57)%aggSpillPartitions].addBatchRow(b, i)
+		return nil, t.parts[partOf(t.hasher.hashes[i], aggSpillPartitions)].addBatchRow(b, i)
 	}
 	g := newAggGroup(t.aggs, t.keyVals.Clone())
 	if packed {
@@ -714,14 +625,6 @@ func (st *aggAcc) add(spec *exec.AggSpec, v sqltypes.Value) {
 		}
 	}
 	st.seen = true
-}
-
-func hashString(s string) uint64 {
-	var acc uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		acc = (acc ^ uint64(s[i])) * 1099511628211
-	}
-	return acc
 }
 
 // Next implements Operator.

@@ -3,9 +3,9 @@ package batchexec
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"apollo/internal/bloom"
-	"apollo/internal/encoding"
 	"apollo/internal/exec"
 	"apollo/internal/expr"
 	"apollo/internal/sqltypes"
@@ -60,6 +60,7 @@ type HashJoin struct {
 	ctx     context.Context
 	core    *joinCore
 	par     *parallelJoin
+	hasher  keyHasher // partitions build rows, and probe rows when spilling
 	pending []*vector.Batch
 	state   int // 0 probing, 1 unmatched-build, 2 done
 
@@ -166,8 +167,8 @@ func appendBuildVec(dst, src *vector.Vector, n int) {
 	}
 }
 
-// htEntryBytes approximates per-row hash-table overhead (map entry plus
-// candidate-list slice) for the join build grant.
+// htEntryBytes approximates the per-row overhead of the join core (packed
+// key, candidate-table entry and slot, matched flag) for the build grant.
 const htEntryBytes = 48
 
 // batchBytes estimates a compacted batch's in-memory footprint for grant
@@ -222,8 +223,8 @@ func (h *HashJoin) drainBuild(ctx context.Context) (*buildSide, bool, error) {
 		if n == 0 {
 			continue
 		}
-		// The grant covers the retained columns plus the hash table about
-		// to be built over them (map entry + candidate-list overhead).
+		// The grant covers the retained columns plus the join core about
+		// to be built over them.
 		sz := batchBytes(b) + htEntryBytes*int64(n)
 		if !overflow && !h.Tracker.TryReserve(sz) {
 			overflow = h.SpillStore != nil
@@ -339,172 +340,181 @@ func (h *HashJoin) Next() (*vector.Batch, error) {
 
 // --- In-memory join core ---
 
+// denseSlotsPerRow bounds how sparse a dense candidate table may be: its
+// start array costs 4 bytes a slot, a map some 40 bytes an entry, so a
+// build with few keys spread over a wide span keys a map instead.
+const denseSlotsPerRow = 8
+
 // joinCore joins a fixed build side against streamed probe batches. The build
 // side lives as concatenated column vectors (dict-coded string columns stay
 // coded), so join output is assembled with typed gather loops — coded columns
 // gather codes, never strings.
 //
-// Exactly one hash table kind is populated, chosen by the build key's type
-// and representation: htInt for a single int64-family key, htCode for a
-// single dict-coded string key (keyed on dictionary ids), htStr for a single
-// materialized string key, htGen for everything else (encoded multi-column
-// keys).
+// The build rows sit in one candidate table: slot s holds build rows
+// rows[start[s]:start[s+1]], in build order. A row finds its slot through its
+// packed key (keys.go): the key is the slot while the table is dense, and
+// slotOf maps it beyond. A key with a NULL or with a value the build lacks
+// has no slot. A float key column, or key widths past packedKeyBits, leave
+// cols nil and key the slots by exec.EncodeKey bytes in htGen instead.
 type joinCore struct {
 	h       *HashJoin
 	build   *buildSide
 	matched []bool
 
-	htInt    map[int64][]int32
-	htCode   map[uint64][]int32
-	codeDict *encoding.Dict // dictionary htCode ids belong to
-	codeVals []string       // its snapshot (covers every build code)
-	htStr    map[string][]int32
-	htGen    map[string][]int32
-	keyBuf   []byte
+	start, rows []int32
+	cols        []keyCol
+	shift       []uint
+	dense       bool
+	slotOf      map[uint64]uint64
+	nMapped     uint64 // slots slotOf handed out
+	htGen       map[string]uint64
+
+	// Scratch: each row's packed key, then its slot (noID for none).
+	keys, ids []uint64
+	keyVals   sqltypes.Row
+	keyBuf    []byte
 }
 
 func newJoinCore(h *HashJoin, build *buildSide) *joinCore {
-	c := &joinCore{h: h, build: build, matched: make([]bool, build.len)}
 	n := build.len
-	if len(h.BuildKeys) == 1 {
-		kv := build.cols[h.BuildKeys[0]]
-		switch {
-		case c.fastKey():
-			c.htInt = make(map[int64][]int32, n)
-			for i := 0; i < n; i++ {
-				if !kv.IsNull(i) {
-					c.htInt[kv.I64[i]] = append(c.htInt[kv.I64[i]], int32(i))
-				}
-			}
-			return c
-		case kv.IsCoded():
-			c.htCode = make(map[uint64][]int32, n)
-			c.codeDict = kv.Dict
-			c.codeVals = kv.DictVals
-			for i := 0; i < n; i++ {
-				if !kv.IsNull(i) {
-					c.htCode[kv.Codes[i]] = append(c.htCode[kv.Codes[i]], int32(i))
-				}
-			}
-			return c
-		case kv.Typ == sqltypes.String:
-			c.htStr = make(map[string][]int32, n)
-			for i := 0; i < n; i++ {
-				if !kv.IsNull(i) {
-					c.htStr[kv.Str[i]] = append(c.htStr[kv.Str[i]], int32(i))
-				}
-			}
-			return c
+	c := &joinCore{h: h, build: build, matched: make([]bool, n),
+		cols: make([]keyCol, len(h.BuildKeys)), shift: make([]uint, len(h.BuildKeys))}
+	var nSlots int
+	if c.packKeys(build.cols, h.BuildKeys, n, true) {
+		nSlots = c.toSlots(n, true)
+	} else {
+		c.cols, c.htGen = nil, make(map[string]uint64)
+		nSlots = c.encodedSlots(build.cols, h.BuildKeys, n, true)
+	}
+	// Counting sort of the build rows by slot: count, sum, place (which
+	// moves every start one slot on), and move the starts back.
+	c.start = make([]int32, nSlots+1)
+	for _, s := range c.keys[:n] {
+		if s < uint64(nSlots) {
+			c.start[s+1]++
 		}
 	}
-	c.htGen = make(map[string][]int32, n)
-	keyVals := make([]sqltypes.Value, len(h.BuildKeys))
-	for i := 0; i < n; i++ {
+	for s := 1; s <= nSlots; s++ {
+		c.start[s] += c.start[s-1]
+	}
+	c.rows = make([]int32, c.start[nSlots])
+	for i, s := range c.keys[:n] {
+		if s < uint64(nSlots) {
+			c.rows[c.start[s]] = int32(i)
+			c.start[s]++
+		}
+	}
+	copy(c.start[1:], c.start[:nSlots])
+	c.start[0] = 0
+	return c
+}
+
+// packKeys packs rows [0, n) of the key columns keys of vecs into c.keys,
+// one column at a time; a key with a NULL or an unknown value gets bit 63.
+// The build (build set) hands out ids and fixes each column's width once
+// the column is filled, the build side being drained; an integer column
+// whose values span at most 2^denseKeyBits takes span ids. It reports false
+// for a float key column (on either side) or widths past packedKeyBits.
+func (c *joinCore) packKeys(vecs []*vector.Vector, keys []int, n int, build bool) bool {
+	h := c.h
+	c.keys = scratch(c.keys, n)
+	var total uint
+	for j, k := range keys {
+		v := vecs[k]
+		kc := &c.cols[j]
+		if build {
+			if v.Typ == sqltypes.Float64 || h.Probe.Schema().Cols[h.ProbeKeys[j]].Typ == sqltypes.Float64 {
+				return false
+			}
+			if *kc = (keyCol{}); v.Typ == sqltypes.String || !kc.setSpan(v, n) {
+				*kc = newKeyCol(v.Typ)
+			}
+		}
+		ids := c.keys // the first column's ids pack in place
+		if j > 0 {
+			c.ids = scratch(c.ids, n)
+			ids = c.ids
+		}
+		kc.fill(v, ids, build)
+		if build {
+			c.shift[j] = total
+			if total += uint(bits.Len64(kc.n)); total > packedKeyBits {
+				return false
+			}
+		}
+		pack(c.keys, ids, c.shift[j], true)
+	}
+	return true
+}
+
+// toSlots returns the slot count, and turns the packed keys in c.keys[:n]
+// into slots in place unless the table is dense. The build (build set)
+// picks the table: the keys themselves are the slots while the widths sum
+// to at most denseKeyBits and the build has a row for every
+// denseSlotsPerRow slots, and slotOf hands out slots 1, 2, ... otherwise.
+func (c *joinCore) toSlots(n int, build bool) int {
+	if build {
+		var total uint
+		for _, kc := range c.cols {
+			total += uint(bits.Len64(kc.n))
+		}
+		if c.dense = total <= denseKeyBits && 1<<total <= max(denseSlotsPerRow*n, 64); c.dense {
+			return 1 << total
+		}
+		c.slotOf = make(map[uint64]uint64)
+	}
+	for i, k := range c.keys[:n] {
+		if c.keys[i] = noID; k>>63 == 0 {
+			c.keys[i] = idOf(c.slotOf, k, &c.nMapped, build)
+		}
+	}
+	return int(c.nMapped) + 1
+}
+
+// encodedSlots writes the slot of each row [0, n) of the key columns keys
+// of vecs to c.keys, keyed by exec.EncodeKey bytes in htGen, and returns
+// the slot count.
+func (c *joinCore) encodedSlots(vecs []*vector.Vector, keys []int, n int, assign bool) int {
+	c.keys = scratch(c.keys, n)
+	c.keyVals = scratch(c.keyVals, len(keys))
+	for i := range c.keys {
+		c.keys[i] = noID
 		null := false
-		for j, k := range h.BuildKeys {
-			keyVals[j] = build.cols[k].Value(i)
-			null = null || keyVals[j].Null
+		for j, k := range keys {
+			c.keyVals[j] = vecs[k].Value(i)
+			null = null || c.keyVals[j].Null
 		}
 		if null {
 			continue
 		}
-		key := string(exec.EncodeKey(c.keyBuf[:0], keyVals))
-		c.htGen[key] = append(c.htGen[key], int32(i))
+		c.keyBuf = exec.EncodeKey(c.keyBuf[:0], c.keyVals)
+		s, ok := c.htGen[string(c.keyBuf)]
+		if !ok && assign {
+			s, ok = uint64(len(c.htGen)), true
+			c.htGen[string(c.keyBuf)] = s
+		}
+		if ok {
+			c.keys[i] = s
+		}
 	}
-	return c
+	return len(c.htGen)
 }
 
-// fastKey reports whether the single join key is int64-family on both sides.
-func (c *joinCore) fastKey() bool {
-	h := c.h
-	if len(h.BuildKeys) != 1 {
-		return false
-	}
-	bt := h.Build.Schema().Cols[h.BuildKeys[0]].Typ
-	pt := h.Probe.Schema().Cols[h.ProbeKeys[0]].Typ
-	intFamily := func(t sqltypes.Type) bool {
-		return t == sqltypes.Int64 || t == sqltypes.Date || t == sqltypes.Bool
-	}
-	return intFamily(bt) && intFamily(pt)
-}
-
-// prober returns a per-batch candidate lookup for the compacted batch b.
-// For htCode it bridges every probe representation into code space: same-dict
-// probes look codes up directly; foreign-dict probes translate each distinct
-// probe code at most once (memoized — one dictionary lookup per distinct
-// value, not per row); materialized probes translate through the build
-// dictionary per row. A string absent from the build dictionary has no build
-// matches by construction.
-func (c *joinCore) prober(b *vector.Batch) func(i int) (cands []int32, null bool) {
-	h := c.h
-	switch {
-	case c.htInt != nil:
-		kv := b.Vecs[h.ProbeKeys[0]]
-		return func(i int) ([]int32, bool) {
-			if kv.IsNull(i) {
-				return nil, true
-			}
-			return c.htInt[kv.I64[i]], false
-		}
-	case c.htCode != nil:
-		kv := b.Vecs[h.ProbeKeys[0]]
-		if kv.IsCoded() && kv.Dict == c.codeDict {
-			return func(i int) ([]int32, bool) {
-				if kv.IsNull(i) {
-					return nil, true
-				}
-				return c.htCode[kv.Codes[i]], false
-			}
-		}
-		if kv.IsCoded() {
-			memo := make(map[uint64][]int32, 64)
-			vals := kv.DictVals
-			return func(i int) ([]int32, bool) {
-				if kv.IsNull(i) {
-					return nil, true
-				}
-				code := kv.Codes[i]
-				cands, ok := memo[code]
-				if !ok {
-					if id, found := c.codeDict.Lookup(vals[code]); found {
-						cands = c.htCode[uint64(id)]
-					}
-					memo[code] = cands
-				}
-				return cands, false
-			}
-		}
-		return func(i int) ([]int32, bool) {
-			if kv.IsNull(i) {
-				return nil, true
-			}
-			if id, ok := c.codeDict.Lookup(kv.Str[i]); ok {
-				return c.htCode[uint64(id)], false
-			}
-			return nil, false
-		}
-	case c.htStr != nil:
-		kv := b.Vecs[h.ProbeKeys[0]]
-		return func(i int) ([]int32, bool) {
-			if kv.IsNull(i) {
-				return nil, true
-			}
-			return c.htStr[kv.StrAt(i)], false
-		}
-	default:
-		keyVals := make([]sqltypes.Value, len(h.ProbeKeys))
-		return func(i int) ([]int32, bool) {
-			null := false
-			for j, k := range h.ProbeKeys {
-				keyVals[j] = b.Vecs[k].Value(i)
-				null = null || keyVals[j].Null
-			}
-			if null {
-				return nil, true
-			}
-			return c.htGen[string(exec.EncodeKey(c.keyBuf[:0], keyVals))], false
+// probeSlots returns the slot of every row of the compacted batch b (noID
+// or past the table for a row without build candidates). Probe values get
+// no ids: one the build lacks is noID, and a coded column resolves each
+// code of its dictionary at most once.
+func (c *joinCore) probeSlots(b *vector.Batch, n int) []uint64 {
+	if c.cols == nil {
+		mJoinBatchesEncoded.Inc()
+		c.encodedSlots(b.Vecs, c.h.ProbeKeys, n, false)
+	} else {
+		mJoinBatchesPacked.Inc()
+		if c.packKeys(b.Vecs, c.h.ProbeKeys, n, false); !c.dense {
+			c.toSlots(n, false)
 		}
 	}
+	return c.keys[:n]
 }
 
 // probeBatch joins one probe batch, returning zero or more output batches.
@@ -517,104 +527,63 @@ func (c *joinCore) probeBatch(b *vector.Batch) []*vector.Batch {
 	}
 
 	probeWidth := h.Probe.Schema().Len()
-	joined := make(sqltypes.Row, probeWidth+h.Build.Schema().Len())
-	lookup := c.prober(b)
-
-	switch h.Type {
-	case exec.LeftSemi, exec.LeftAnti:
-		sel := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			cands, null := lookup(i)
-			found := false
-			if !null {
-				for _, bi := range cands {
-					if c.residualOK(b, i, bi, joined, probeWidth) {
-						found = true
-						break
-					}
-				}
-			}
-			if found == (h.Type == exec.LeftSemi) {
-				sel = append(sel, i)
-			}
-		}
-		if len(sel) == 0 {
-			return nil
-		}
-		b.Sel = sel
-		return []*vector.Batch{b}
+	var joined sqltypes.Row
+	if h.Residual != nil {
+		joined = make(sqltypes.Row, probeWidth+h.Build.Schema().Len())
 	}
+	slots := c.probeSlots(b, n)
+	nSlots := uint64(len(c.start) - 1)
 
-	// Inner/outer joins: collect matching (probe, build) pairs, then gather
-	// them into output batches column by column.
+	// Semi/anti joins keep probe rows (sel); inner/outer joins collect
+	// matching (probe, build) pairs, then gather them into output batches
+	// column by column.
+	semi := h.Type == exec.LeftSemi || h.Type == exec.LeftAnti
+	leftOuter := h.Type == exec.LeftOuter || h.Type == exec.FullOuter
+	var sel []int
 	var probeIdx, buildIdx []int32 // buildIdx -1 = null-extended
-	if t := h.BloomOut; t != nil && t.F != nil {
+	if semi {
+		sel = make([]int, 0, n)
+	} else if t := h.BloomOut; t != nil && t.F != nil {
 		if _, exact := t.F.Exact(); exact {
 			// The exact filter let through only rows whose key is a build
 			// key: every probe row makes at least one pair.
 			probeIdx, buildIdx = make([]int32, 0, n), make([]int32, 0, n)
 		}
 	}
-	leftOuter := h.Type == exec.LeftOuter || h.Type == exec.FullOuter
-	pkv := b.Vecs[h.ProbeKeys[0]]
-	switch {
-	case c.htInt != nil && !pkv.HasNulls() && h.Residual == nil:
-		// Hot path: single non-null int key, no residual.
-		mJoinBatchesInt.Inc()
-		for i, k := range pkv.I64[:n] {
-			matches := c.htInt[k]
-			if len(matches) == 0 {
-				if leftOuter {
-					probeIdx = append(probeIdx, int32(i))
-					buildIdx = append(buildIdx, -1)
-				}
+	for i, s := range slots {
+		var cands []int32
+		if s < nSlots {
+			cands = c.rows[c.start[s]:c.start[s+1]]
+		}
+		matched := false
+		for _, bi := range cands {
+			if h.Residual != nil && !c.residualOK(b, i, bi, joined, probeWidth) {
 				continue
 			}
-			for _, bi := range matches {
-				c.matched[bi] = true
-				probeIdx = append(probeIdx, int32(i))
-				buildIdx = append(buildIdx, bi)
+			matched = true
+			if semi {
+				break
 			}
+			c.matched[bi] = true
+			probeIdx = append(probeIdx, int32(i))
+			buildIdx = append(buildIdx, bi)
 		}
-	case c.htCode != nil && pkv.IsCoded() && pkv.Dict == c.codeDict && !pkv.HasNulls() && h.Residual == nil:
-		// Hot path: both key sides share a dictionary — the join runs
-		// entirely in code space, no string is touched.
-		mJoinBatchesCode.Inc()
-		for i, k := range pkv.Codes[:n] {
-			matches := c.htCode[k]
-			if len(matches) == 0 {
-				if leftOuter {
-					probeIdx = append(probeIdx, int32(i))
-					buildIdx = append(buildIdx, -1)
-				}
-				continue
+		switch {
+		case semi:
+			if matched == (h.Type == exec.LeftSemi) {
+				sel = append(sel, i)
 			}
-			for _, bi := range matches {
-				c.matched[bi] = true
-				probeIdx = append(probeIdx, int32(i))
-				buildIdx = append(buildIdx, bi)
-			}
+		case !matched && leftOuter:
+			probeIdx = append(probeIdx, int32(i))
+			buildIdx = append(buildIdx, -1)
 		}
-	default:
-		mJoinBatchesGeneric.Inc()
-		for i := 0; i < n; i++ {
-			cands, null := lookup(i)
-			matched := false
-			if !null {
-				for _, bi := range cands {
-					if c.residualOK(b, i, bi, joined, probeWidth) {
-						matched = true
-						c.matched[bi] = true
-						probeIdx = append(probeIdx, int32(i))
-						buildIdx = append(buildIdx, bi)
-					}
-				}
-			}
-			if !matched && leftOuter {
-				probeIdx = append(probeIdx, int32(i))
-				buildIdx = append(buildIdx, -1)
-			}
+	}
+	if semi {
+		if len(sel) == 0 {
+			return nil
 		}
+		b.Sel = sel
+		return []*vector.Batch{b}
 	}
 
 	var outs []*vector.Batch
@@ -699,10 +668,9 @@ func gatherVec(dst, src *vector.Vector, idxs []int32) {
 	}
 }
 
+// residualOK evaluates the join's residual over probe row probeIdx and
+// build row bi, laid out in joined.
 func (c *joinCore) residualOK(b *vector.Batch, probeIdx int, bi int32, joined sqltypes.Row, probeWidth int) bool {
-	if c.h.Residual == nil {
-		return true
-	}
 	for ci := 0; ci < probeWidth; ci++ {
 		joined[ci] = b.Vecs[ci].Value(probeIdx)
 	}
@@ -758,7 +726,7 @@ const spillPartitions = 8
 // enterSpillMode partitions build rows and the entire probe input to spill
 // files, then joins partition pairs one at a time. Dict-coded columns spill
 // as codes (spillPartition's tagged encoding); partition assignment hashes
-// decoded key values so both sides partition consistently regardless of
+// key values (keyHasher), so both sides partition alike whatever the
 // representation.
 func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 	h.spilled = true
@@ -773,9 +741,8 @@ func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 	}
 
 	bb := batchWithRows(h.Build.Schema(), build.cols, build.len)
-	for i := 0; i < build.len; i++ {
-		p := partitionOfVecs(build.cols, i, h.BuildKeys)
-		if err := h.partBuild[p].addBatchRow(bb, i); err != nil {
+	for i, hv := range h.hasher.hash(build.cols, h.BuildKeys, build.len) {
+		if err := h.partBuild[partOf(hv, spillPartitions)].addBatchRow(bb, i); err != nil {
 			return err
 		}
 	}
@@ -796,31 +763,15 @@ func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 		if b == nil {
 			break
 		}
-		for i := 0; i < b.Len(); i++ {
-			r := b.RowIdx(i)
-			p := partitionOfVecs(b.Vecs, r, h.ProbeKeys)
-			if err := h.partProbe[p].addBatchRow(b, r); err != nil {
+		b.Compact()
+		for i, hv := range h.hasher.hash(b.Vecs, h.ProbeKeys, b.NumRows()) {
+			if err := h.partProbe[partOf(hv, spillPartitions)].addBatchRow(b, i); err != nil {
 				return err
 			}
 		}
 	}
 	h.partIdx = -1
 	return nil
-}
-
-// partitionOfVecs assigns physical row r to a spill partition by key hash;
-// NULL keys land in partition 0 (they never match, but outer joins still emit
-// them).
-func partitionOfVecs(vecs []*vector.Vector, r int, keys []int) int {
-	var acc uint64 = 14695981039346656037
-	for _, k := range keys {
-		if vecs[k].IsNull(r) {
-			return 0
-		}
-		acc = (acc ^ sqltypes.Hash(vecs[k].Value(r))) * 1099511628211
-	}
-	// Use high bits: low bits fed the in-memory hash table.
-	return int(acc>>57) % spillPartitions
 }
 
 // nextSpilled advances through partition pairs.

@@ -30,12 +30,10 @@ var (
 	mAggBatchesEncoded = metrics.Default.Counter(`apollo_hashagg_batches_total{path="encoded"}`,
 		"batches aggregated, by group-key path")
 
-	mJoinBatchesInt = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="int"}`,
-		"probe batches joined, by probe path")
-	mJoinBatchesCode = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="code"}`,
-		"probe batches joined entirely in dictionary-code space")
-	mJoinBatchesGeneric = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="generic"}`,
-		"probe batches joined, by probe path")
+	mJoinBatchesPacked = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="packed"}`,
+		"probe batches joined, by join-key path")
+	mJoinBatchesEncoded = metrics.Default.Counter(`apollo_hashjoin_probe_batches_total{path="encoded"}`,
+		"probe batches joined, by join-key path")
 
 	mBitmapFiltersExact = metrics.Default.Counter(`apollo_hashjoin_bitmap_filters_total{kind="exact"}`,
 		"bitmap filters published by hash-join builds, by layout")

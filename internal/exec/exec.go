@@ -157,13 +157,12 @@ func EncodeKey(dst []byte, vals []sqltypes.Value) []byte {
 			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 			dst = append(dst, v.S...)
 		case sqltypes.Float64:
-			f := v.F
-			if f == math.Trunc(f) && math.Abs(f) < 1e15 {
+			if i, ok := sqltypes.IntegralFloat(v.F); ok {
 				dst = append(dst, 2)
-				dst = binary.AppendVarint(dst, int64(f))
+				dst = binary.AppendVarint(dst, i)
 			} else {
 				dst = append(dst, 3)
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 			}
 		default:
 			dst = append(dst, 2)

@@ -22,7 +22,8 @@ type Mode int
 // Execution modes. Mode2014 is the paper's "upcoming release": the full batch
 // repertoire. Mode2012 uses batch mode only for plans within the 2012
 // repertoire, falling back to row mode otherwise. ModeRow forces the
-// row-at-a-time engine.
+// row-at-a-time engine. In both batch modes a plan with a join that has no
+// equality key runs in row mode (batchSupported).
 const (
 	Mode2014 Mode = iota
 	Mode2012
@@ -212,7 +213,7 @@ func Compile(root Node, opts Options) (*Compiled, error) {
 	}
 	root = pruneColumns(root)
 
-	useBatch := opts.Mode == Mode2014 || (opts.Mode == Mode2012 && supported2012(root))
+	useBatch := opts.Mode != ModeRow && batchSupported(root, opts.Mode)
 	c := &Compiled{Plan: root, BatchMode: useBatch, Schema: outSchema, QueryID: queryIDs.Add(1)}
 	c.EstRows = map[Node]float64{}
 	annotateEstimates(root, sc, c.EstRows)

