@@ -41,8 +41,10 @@ race:
 
 # Short seeded-corpus fuzz run over the encoding round-trip/robustness targets
 # (bitpack, RLE, dictionary), the join bitmap filter's exact layout and its
-# code-space test, the WAL record codec, and the bulk-load input
-# decoders (CSV, length-prefixed binary). Seconds per target: enough to catch
+# code-space test, the WAL record codec, the bulk-load input
+# decoders (CSV, length-prefixed binary), and the spill file round trip of
+# the batch hash operators (typed batches out, typed batches back, and no
+# panic on cut or garbled bytes). Seconds per target: enough to catch
 # regressions in the untrusted-input bounds checks without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/encoding -run='^$$' -fuzz=FuzzBitpackRoundtrip -fuzztime=5s
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run='^$$' -fuzz=FuzzWALRecord -fuzztime=5s
 	$(GO) test ./internal/load -run='^$$' -fuzz=FuzzCSVLoad -fuzztime=5s
 	$(GO) test ./internal/load -run='^$$' -fuzz=FuzzBinaryLoad -fuzztime=5s
+	$(GO) test ./internal/exec/batchexec -run='^$$' -fuzz=FuzzSpillRoundtrip -fuzztime=5s
 	$(GO) test ./internal/sql -run='^$$' -fuzz=FuzzOptimizerParity -fuzztime=5s
 
 # Serving acceptance: build the real apollod binary, start it with two
@@ -119,9 +122,10 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Work ledger: per-statement heap allocations and scan, planner and spill
-# counters of the 13 SSB queries, three join-key shapes and a few
-# delta-store statements, pinned in internal/sql/testdata/ledger.golden
-# (TestWorkLedger, part of `make test`).
+# counters of the 13 SSB queries, a DISTINCT aggregate, a hash join and a
+# hash aggregation that spill under a 4 KiB grant, three join-key shapes
+# and a few delta-store statements, pinned in
+# internal/sql/testdata/ledger.golden (TestWorkLedger, part of `make test`).
 # Regenerate after an intentional change and quote the moved lines.
 ledger:
 	$(GO) test ./internal/sql -run='^TestWorkLedger$$' -count=1 -update

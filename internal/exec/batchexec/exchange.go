@@ -265,16 +265,18 @@ func firstExchangeError(ctx context.Context, errs []error) error {
 }
 
 // mergeAggTables combines the partial aggregation states of the worker
-// tables. In-memory groups fold together through their canonical encoded
-// keys (a group's partial states merge by adding counts and sums, comparing
-// min/max). Spilled rows cannot be aggregated per partition the way the
-// serial path does — a group can be in-memory in one worker and spilled by
-// another, so partitions no longer hold disjoint group sets — instead every
-// spilled row folds into the same merged table.
+// tables in one table, which resolves groups through its own key columns,
+// as any table does. Each worker's in-memory groups resolve there and merge
+// their partial states (adding counts and sums, comparing min/max). Spilled
+// rows cannot be aggregated per partition the way the serial path does — a
+// group can be in memory in one worker and spilled by another, so
+// partitions no longer hold disjoint group sets — so every spilled batch
+// folds into the same table. The merge charges no grant: by then the
+// workers' grants are charged, and the merged group set is bounded by the
+// union of what the workers held.
 func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable) ([]sqltypes.Row, error) {
 	t0 := tables[0]
 	m := newAggTable(t0.inSchema, t0.groupBy, aggs, nil, nil)
-	m.toEncoded()
 	for _, t := range tables {
 		if t == nil {
 			continue
@@ -282,19 +284,19 @@ func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, g := range t.order {
-			m.groupOf(g.keyVals).merge(aggs, g)
-		}
+		m.mergeGroups(t.order)
 		for _, part := range t.parts {
 			if part == nil {
 				continue
 			}
-			rows, err := part.readAll()
+			batches, err := part.readAll(vector.DefaultBatchSize)
 			if err != nil {
 				return nil, err
 			}
-			for _, r := range rows {
-				m.foldRow(r)
+			for _, b := range batches {
+				if err := m.addBatch(b); err != nil {
+					return nil, err
+				}
 			}
 		}
 		t.parts = nil
@@ -302,15 +304,25 @@ func mergeAggTables(ctx context.Context, aggs []exec.AggSpec, tables []*aggTable
 	return finalizeAll(make([]sqltypes.Row, 0, len(m.order)), aggs, m.order)
 }
 
-// foldRow folds one materialized (spill-replayed) row into a table on the
-// encoded map, without grant accounting: by merge time the workers' grants
-// are already charged, and the merged group set is bounded by the union of
-// what the workers held.
-func (t *aggTable) foldRow(r sqltypes.Row) {
-	for c, g := range t.groupBy {
-		t.keyVals[c] = r[g]
+// mergeGroups resolves another table's groups in t, feeding their key
+// values to t as key batches, and merges their partial states into t's.
+func (t *aggTable) mergeGroups(groups []*aggGroup) {
+	vecs := make([]*vector.Vector, t.inSchema.Len())
+	for len(groups) > 0 {
+		n := min(len(groups), vector.DefaultBatchSize)
+		for c, g := range t.groupBy {
+			v := vector.NewVector(t.inSchema.Cols[g].Typ, n)
+			for i, o := range groups[:n] {
+				v.SetValue(i, o.keyVals[c])
+			}
+			vecs[g] = v
+		}
+		t.resolve(vecs, n)
+		for i, o := range groups[:n] {
+			t.ptrs[i].merge(t.aggs, o)
+		}
+		groups = groups[n:]
 	}
-	t.groupOf(t.keyVals).add(t.aggs, r)
 }
 
 // --- Partitioned parallel hash join runtime ---

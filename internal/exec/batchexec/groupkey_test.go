@@ -100,7 +100,10 @@ func codeAll(v *vector.Vector, chunk []sqltypes.Row, c int, d *encoding.Dict, gr
 // columns mixing Int64, Date, Bool and String, NULL in every key column,
 // coded, materialized and foreign-dictionary string vectors in one column,
 // strings the column dictionary lacks, a float key, and a column whose ids
-// outgrow their packed width after groups exist.
+// outgrow their packed width after groups exist. One input adds COUNT and
+// SUM (DISTINCT x) for x of every type, strings in all three forms and
+// floats with -0.0, +0.0, 2^53 and halves; it runs serially only, as the
+// planner runs DISTINCT.
 func TestGroupKeyShapesParity(t *testing.T) {
 	pool := []string{"amber", "basalt", "cobalt", "dune", "ember", "flint", "garnet", "heath", "iris", "jade", "kelp", "loam"}
 	shapes := []struct {
@@ -112,14 +115,18 @@ func TestGroupKeyShapesParity(t *testing.T) {
 		keyBits uint
 		moved   bool  // the table ends on the encoded map
 		grant   int64 // spills partway through the input
+		// distinct lists the types of the DISTINCT arguments.
+		distinct []sqltypes.Type
 	}{
-		{"int", []sqltypes.Type{sqltypes.Int64}, 3000, 0, false, 32 << 10},
-		{"string", []sqltypes.Type{sqltypes.String}, 3000, 0, false, 2 << 10},
-		{"date,bool", []sqltypes.Type{sqltypes.Date, sqltypes.Bool}, 3000, 0, false, 8 << 10},
-		{"string,int,string", []sqltypes.Type{sqltypes.String, sqltypes.Int64, sqltypes.String}, 3000, 0, false, 32 << 10},
-		{"int,date,bool,string", []sqltypes.Type{sqltypes.Int64, sqltypes.Date, sqltypes.Bool, sqltypes.String}, 3000, 0, false, 32 << 10},
-		{"float,int", []sqltypes.Type{sqltypes.Float64, sqltypes.Int64}, 3000, 0, true, 32 << 10},
-		{"string,growing int", []sqltypes.Type{sqltypes.String, sqltypes.Int64}, 3000, 6, true, 48 << 10},
+		{"int", []sqltypes.Type{sqltypes.Int64}, 3000, 0, false, 32 << 10, nil},
+		{"string", []sqltypes.Type{sqltypes.String}, 3000, 0, false, 2 << 10, nil},
+		{"date,bool", []sqltypes.Type{sqltypes.Date, sqltypes.Bool}, 3000, 0, false, 8 << 10, nil},
+		{"string,int,string", []sqltypes.Type{sqltypes.String, sqltypes.Int64, sqltypes.String}, 3000, 0, false, 32 << 10, nil},
+		{"int,date,bool,string", []sqltypes.Type{sqltypes.Int64, sqltypes.Date, sqltypes.Bool, sqltypes.String}, 3000, 0, false, 32 << 10, nil},
+		{"float,int", []sqltypes.Type{sqltypes.Float64, sqltypes.Int64}, 3000, 0, true, 32 << 10, nil},
+		{"string,growing int", []sqltypes.Type{sqltypes.String, sqltypes.Int64}, 3000, 6, true, 48 << 10, nil},
+		{"int, distinct args", []sqltypes.Type{sqltypes.Int64}, 3000, 0, false, 64 << 10,
+			[]sqltypes.Type{sqltypes.Int64, sqltypes.Date, sqltypes.Bool, sqltypes.String, sqltypes.Float64}},
 	}
 	for si, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -138,6 +145,9 @@ func TestGroupKeyShapesParity(t *testing.T) {
 				keyExprs[c] = expr.NewColRef(c, names[c], typ)
 			}
 			cols = append(cols, sqltypes.Column{Name: "v", Typ: sqltypes.Int64, Nullable: true})
+			for j, typ := range sh.distinct {
+				cols = append(cols, sqltypes.Column{Name: fmt.Sprintf("x%d", j), Typ: typ, Nullable: true})
+			}
 			sch := sqltypes.NewSchema(cols...)
 			v := expr.NewColRef(len(sh.types), "v", sqltypes.Int64)
 			aggs := []exec.AggSpec{
@@ -145,6 +155,13 @@ func TestGroupKeyShapesParity(t *testing.T) {
 				{Kind: exec.Sum, Arg: v, Name: "s"},
 				{Kind: exec.Avg, Arg: v, Name: "a"},
 				{Kind: exec.Min, Arg: v, Name: "lo"},
+			}
+			for j, typ := range sh.distinct {
+				x := expr.NewColRef(len(sh.types)+1+j, fmt.Sprintf("x%d", j), typ)
+				aggs = append(aggs, exec.AggSpec{Kind: exec.Count, Arg: x, Distinct: true, Name: fmt.Sprintf("n%d", j)})
+				if typ != sqltypes.String {
+					aggs = append(aggs, exec.AggSpec{Kind: exec.Sum, Arg: x, Distinct: true, Name: fmt.Sprintf("s%d", j)})
+				}
 			}
 
 			rng := rand.New(rand.NewSource(int64(1000 + si)))
@@ -177,6 +194,28 @@ func TestGroupKeyShapesParity(t *testing.T) {
 					r = append(r, val)
 				}
 				r = append(r, sqltypes.NewInt(int64(rng.Intn(1000))))
+				for _, typ := range sh.distinct {
+					var val sqltypes.Value
+					switch typ {
+					case sqltypes.Int64:
+						val = sqltypes.NewInt(int64(rng.Intn(6)))
+					case sqltypes.Date:
+						val = sqltypes.NewDate(int64(9000 + rng.Intn(4)))
+					case sqltypes.Bool:
+						val = sqltypes.NewBool(rng.Intn(2) == 0)
+					case sqltypes.Float64:
+						val = sqltypes.NewFloat([]float64{math.Copysign(0, -1), 0, 1 << 53, 0.5, 1.5, 2.5}[rng.Intn(6)])
+					default:
+						val = sqltypes.NewString(pool[rng.Intn(4)])
+						if rng.Intn(150) == 0 {
+							val = sqltypes.NewString(fmt.Sprintf("off-%d", rng.Intn(3)))
+						}
+					}
+					if rng.Intn(10) == 0 {
+						val = sqltypes.NewNull(typ)
+					}
+					r = append(r, val)
+				}
 				rows[i] = r
 			}
 			want := rowModeRows(t, rowexec.NewHashAggregate(&rowexec.Values{Rows: rows, Sch: sch}, keyExprs, names, aggs))
@@ -205,6 +244,9 @@ func TestGroupKeyShapesParity(t *testing.T) {
 
 			for _, grant := range []int64{0, sh.grant} {
 				for _, dop := range []int{1, 2} {
+					if dop > 1 && sh.distinct != nil {
+						continue
+					}
 					label := fmt.Sprintf("dop=%d grant=%d", dop, grant)
 					var op Operator
 					var tracker *Tracker

@@ -3,6 +3,7 @@ package batchexec
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -76,42 +77,17 @@ type aggAcc struct {
 	sumF     exec.FloatSum
 	min, max sqltypes.Value
 	seen     bool
-	distinct map[string]bool
+	distinct map[uint64]struct{} // a DISTINCT aggregate's values, keyed by distinctKeys
 }
 
 func newAggGroup(aggs []exec.AggSpec, keyVals sqltypes.Row) *aggGroup {
 	g := &aggGroup{keyVals: keyVals, states: make([]aggAcc, len(aggs))}
 	for i, spec := range aggs {
 		if spec.Distinct {
-			g.states[i].distinct = make(map[string]bool)
+			g.states[i].distinct = make(map[uint64]struct{})
 		}
 	}
 	return g
-}
-
-// add folds one materialized row into the group.
-func (g *aggGroup) add(aggs []exec.AggSpec, row sqltypes.Row) {
-	for i := range aggs {
-		spec := &aggs[i]
-		st := &g.states[i]
-		if spec.Kind == exec.CountStar {
-			st.count++
-			continue
-		}
-		v := spec.Arg.Eval(row)
-		if v.Null {
-			continue
-		}
-		if st.distinct != nil {
-			key := string(exec.EncodeKey(nil, []sqltypes.Value{v}))
-			if st.distinct[key] {
-				continue
-			}
-			st.distinct[key] = true
-		}
-		st.count++
-		st.add(spec, v)
-	}
 }
 
 // merge folds another group's partial accumulator states into g. Counts and
@@ -219,11 +195,12 @@ type aggTable struct {
 	packed       map[uint64]*aggGroup
 	groups       map[string]*aggGroup // keyed by exec.EncodeKey
 	keys, ids    []uint64
-	hasher       keyHasher // its hashes are the batch's while spilling
+	hasher       keyHasher // partitions the rows that spill
 	keyBuf       []byte
 	keyVals      sqltypes.Row
 	ptrs         []*aggGroup
 	argVecs      []*vector.Vector
+	distinct     []keyCol // string ids of DISTINCT arguments, per aggregate
 }
 
 func newAggTable(inSchema *sqltypes.Schema, groupBy []int, aggs []exec.AggSpec, tracker *Tracker, spillStore *storage.Store) *aggTable {
@@ -325,16 +302,16 @@ func (t *aggTable) put(k uint64, g *aggGroup) {
 	}
 }
 
-// packKeys computes the packed key of every row of b into t.keys, one key
+// packKeys computes the packed key of every row of vecs into t.keys, one key
 // column at a time. It reports false when the table moved to the encoded map
 // instead.
-func (t *aggTable) packKeys(b *vector.Batch, n int) bool {
+func (t *aggTable) packKeys(vecs []*vector.Vector, n int) bool {
 	t.keys = scratch(t.keys, n)
 	clear(t.keys)
 	for c := range t.cols {
 		kc := &t.cols[c]
 		t.ids = scratch(t.ids, n)
-		kc.fill(b.Vecs[t.groupBy[c]], t.ids, !t.spilling)
+		kc.fill(vecs[t.groupBy[c]], t.ids, !t.spilling)
 		if w := uint(bits.Len64(kc.n)); w > t.width[c] && !t.widen(c, w) {
 			return false
 		}
@@ -344,9 +321,9 @@ func (t *aggTable) packKeys(b *vector.Batch, n int) bool {
 }
 
 // loadKey copies row i's group-by values into t.keyVals.
-func (t *aggTable) loadKey(b *vector.Batch, i int) {
+func (t *aggTable) loadKey(vecs []*vector.Vector, i int) {
 	for c, g := range t.groupBy {
-		t.keyVals[c] = b.Vecs[g].Value(i)
+		t.keyVals[c] = vecs[g].Value(i)
 	}
 }
 
@@ -361,18 +338,37 @@ func (t *aggTable) startSpilling() {
 // addBatch folds one compacted batch into the table. Aggregation is
 // vectorized: the group of every row is resolved first, each aggregate
 // argument is evaluated once per batch into a vector, and accumulation runs
-// in tight loops over the vector payloads.
+// in tight loops over the vector payloads. Once the table spills, a row
+// without a group in memory goes to a spill partition by key hash.
 func (t *aggTable) addBatch(b *vector.Batch) error {
 	b.Compact()
 	n := b.NumRows()
 	if n == 0 {
 		return nil
 	}
-	t.ptrs = scratch(t.ptrs, n)
+	t.resolve(b.Vecs, n)
 	if t.spilling {
-		t.hasher.hash(b.Vecs, t.groupBy, n)
+		for i, h := range t.hasher.hash(b.Vecs, t.groupBy, n) {
+			if t.ptrs[i] == nil {
+				if err := t.parts[partOf(h, aggSpillPartitions)].addBatchRow(b, i); err != nil {
+					return err
+				}
+			}
+		}
 	}
-	packed := t.cols != nil && t.packKeys(b, n)
+	for k := range t.aggs {
+		t.accumulate(k, b, t.ptrs, t.argVecs[k])
+	}
+	return nil
+}
+
+// resolve writes the group of each of rows [0, n) of vecs, a batch in the
+// input layout whose group-by columns at least are set, to t.ptrs, creating
+// the groups it lacks under the memory grant. A row without a group once
+// the table spills gets nil.
+func (t *aggTable) resolve(vecs []*vector.Vector, n int) {
+	t.ptrs = scratch(t.ptrs, n)
+	packed := t.cols != nil && t.packKeys(vecs, n)
 	if packed {
 		mAggBatchesPacked.Inc()
 	} else {
@@ -383,43 +379,31 @@ func (t *aggTable) addBatch(b *vector.Batch) error {
 		if packed {
 			g = t.lookup(t.keys[i])
 		} else {
-			t.loadKey(b, i)
+			t.loadKey(vecs, i)
 			t.keyBuf = exec.EncodeKey(t.keyBuf[:0], t.keyVals)
 			g = t.groups[string(t.keyBuf)]
 		}
-		if g == nil {
-			var err error
-			if g, err = t.newGroup(b, i, packed); err != nil {
-				return err
-			}
+		if g == nil && !t.spilling {
+			g = t.newGroup(vecs, i, packed)
 		}
 		t.ptrs[i] = g
 	}
-	for k := range t.aggs {
-		t.accumulate(k, b, t.ptrs, t.argVecs[k])
-	}
-	return nil
 }
 
 // newGroup creates the group of row i under the memory grant. Once the grant
-// is exhausted (and a spill store is set) it routes the row, and every later
-// row without a group, to a spill partition by key hash, and returns nil.
-func (t *aggTable) newGroup(b *vector.Batch, i int, packed bool) (*aggGroup, error) {
+// is exhausted (and a spill store is set) the table starts spilling instead,
+// and newGroup returns nil.
+func (t *aggTable) newGroup(vecs []*vector.Vector, i int, packed bool) *aggGroup {
 	if packed {
-		t.loadKey(b, i)
+		t.loadKey(vecs, i)
 	}
 	cost := rowBytes(t.keyVals) + int64(64*len(t.aggs))
-	if !t.spilling {
-		if t.tracker.TryReserve(cost) {
-			t.reserved += cost
-		} else if t.spillStore != nil {
-			t.tracker.NoteSpill()
-			t.startSpilling()
-			t.hasher.hash(b.Vecs, t.groupBy, b.NumRows())
-		}
-	}
-	if t.spilling {
-		return nil, t.parts[partOf(t.hasher.hashes[i], aggSpillPartitions)].addBatchRow(b, i)
+	if t.tracker.TryReserve(cost) {
+		t.reserved += cost
+	} else if t.spillStore != nil {
+		t.tracker.NoteSpill()
+		t.startSpilling()
+		return nil
 	}
 	g := newAggGroup(t.aggs, t.keyVals.Clone())
 	if packed {
@@ -429,19 +413,6 @@ func (t *aggTable) newGroup(b *vector.Batch, i int, packed bool) (*aggGroup, err
 		t.groups[string(t.keyBuf)] = g
 	}
 	t.order = append(t.order, g)
-	return g, nil
-}
-
-// groupOf finds or creates, without grant accounting, the group of keyVals
-// in a table on the encoded map.
-func (t *aggTable) groupOf(keyVals sqltypes.Row) *aggGroup {
-	t.keyBuf = exec.EncodeKey(t.keyBuf[:0], keyVals)
-	g := t.groups[string(t.keyBuf)]
-	if g == nil {
-		g = newAggGroup(t.aggs, keyVals.Clone())
-		t.groups[string(t.keyBuf)] = g
-		t.order = append(t.order, g)
-	}
 	return g
 }
 
@@ -458,14 +429,15 @@ func (t *aggTable) results(ctx context.Context) ([]sqltypes.Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := part.readAll()
+		batches, err := part.readAll(vector.DefaultBatchSize)
 		if err != nil {
 			return nil, err
 		}
 		pt := newAggTable(t.inSchema, t.groupBy, t.aggs, nil, nil)
-		pt.toEncoded()
-		for _, r := range rows {
-			pt.foldRow(r)
+		for _, b := range batches {
+			if err := pt.addBatch(b); err != nil {
+				return nil, err
+			}
 		}
 		if results, err = finalizeAll(results, t.aggs, pt.order); err != nil {
 			return nil, err
@@ -547,20 +519,18 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 	spec.Arg.EvalVec(b, argVec)
 
 	if spec.Distinct {
-		for i := 0; i < n; i++ {
-			g := ptrs[i]
+		keys := t.distinctKeys(k, argVec, n)
+		for i, g := range ptrs {
 			if g == nil || argVec.IsNull(i) {
 				continue
 			}
 			st := &g.states[k]
-			v := argVec.Value(i)
-			key := string(exec.EncodeKey(nil, []sqltypes.Value{v}))
-			if st.distinct[key] {
+			if _, dup := st.distinct[keys[i]]; dup {
 				continue
 			}
-			st.distinct[key] = true
+			st.distinct[keys[i]] = struct{}{}
 			st.count++
-			st.add(spec, v)
+			st.add(spec, argVec.Value(i))
 		}
 		return
 	}
@@ -597,6 +567,37 @@ func (t *aggTable) accumulate(k int, b *vector.Batch, ptrs []*aggGroup, argVec *
 			st.add(spec, argVec.Value(i))
 		}
 	}
+}
+
+// distinctKeys returns, for rows [0, n) of the DISTINCT argument v of
+// aggregate k, keys that are equal exactly when the values are equal as
+// group keys of one column: a string's id, whatever its form; an integer's
+// bits; a float's bits with -0.0 folded into +0.0. The result is scratch,
+// valid until the next call.
+func (t *aggTable) distinctKeys(k int, v *vector.Vector, n int) []uint64 {
+	t.ids = scratch(t.ids, n)
+	switch v.Typ {
+	case sqltypes.String:
+		if t.distinct == nil {
+			t.distinct = make([]keyCol, len(t.aggs))
+		}
+		if t.distinct[k].strs == nil {
+			t.distinct[k] = newKeyCol(sqltypes.String)
+		}
+		t.distinct[k].fill(v, t.ids, true)
+	case sqltypes.Float64:
+		for i, f := range v.F64[:n] {
+			if f == 0 {
+				f = 0
+			}
+			t.ids[i] = math.Float64bits(f)
+		}
+	default:
+		for i, x := range v.I64[:n] {
+			t.ids[i] = uint64(x)
+		}
+	}
+	return t.ids
 }
 
 // addInt adds v to the exact 128-bit sum.

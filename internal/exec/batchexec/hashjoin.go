@@ -69,8 +69,7 @@ type HashJoin struct {
 	partBuild     []*spillPartition
 	partProbe     []*spillPartition
 	partIdx       int
-	partProbeRows []sqltypes.Row
-	partProbePos  int
+	replay        []*vector.Batch // the current partition's unprobed batches
 	reservedBytes int64
 }
 
@@ -285,7 +284,7 @@ func (h *HashJoin) Close() error {
 			p.drop()
 		}
 	}
-	h.partBuild, h.partProbe = nil, nil
+	h.partBuild, h.partProbe, h.replay = nil, nil, nil
 	if h.par != nil {
 		h.par.shutdown()
 		h.par = nil
@@ -774,69 +773,39 @@ func (h *HashJoin) enterSpillMode(ctx context.Context, build *buildSide) error {
 	return nil
 }
 
-// nextSpilled advances through partition pairs.
+// nextSpilled advances through partition pairs: each pair's build batch
+// becomes a private core, which its probe batches probe one per call.
 func (h *HashJoin) nextSpilled() (*vector.Batch, error) {
 	for {
 		if err := h.ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Emit probe batches of the current partition.
-		if h.partIdx >= 0 && h.partIdx < spillPartitions {
-			if h.partProbePos < len(h.partProbeRows) {
-				n := len(h.partProbeRows) - h.partProbePos
-				if n > vector.DefaultBatchSize {
-					n = vector.DefaultBatchSize
-				}
-				rows := h.partProbeRows[h.partProbePos : h.partProbePos+n]
-				h.partProbePos += n
-				b := rowsToBatch(h.Probe.Schema(), rows)
-				h.pending = h.core.probeBatch(b)
-				if len(h.pending) > 0 {
-					out := h.pending[0]
-					h.pending = h.pending[1:]
-					return out, nil
-				}
-				continue
-			}
+		switch {
+		case len(h.replay) > 0:
+			h.pending = h.core.probeBatch(h.replay[0])
+			h.replay = h.replay[1:]
+		case h.core != nil:
 			// Partition probe exhausted: unmatched build rows, then advance.
-			if h.core != nil {
-				h.pending = h.core.unmatchedBuild()
-				h.core = nil
-				h.partProbeRows = nil
-				if len(h.pending) > 0 {
-					out := h.pending[0]
-					h.pending = h.pending[1:]
-					return out, nil
-				}
+			h.pending = h.core.unmatchedBuild()
+			h.core = nil
+		default:
+			h.partIdx++
+			if h.partIdx >= spillPartitions {
+				return nil, nil
 			}
+			build, err := h.partBuild[h.partIdx].readAll(0)
+			if err != nil {
+				return nil, err
+			}
+			if h.replay, err = h.partProbe[h.partIdx].readAll(vector.DefaultBatchSize); err != nil {
+				return nil, err
+			}
+			h.core = newJoinCore(h, &buildSide{cols: build[0].Vecs, len: build[0].NumRows()})
 		}
-		h.partIdx++
-		if h.partIdx >= spillPartitions {
-			return nil, nil
-		}
-		buildRows, err := h.partBuild[h.partIdx].readAll()
-		if err != nil {
-			return nil, err
-		}
-		probeRows, err := h.partProbe[h.partIdx].readAll()
-		if err != nil {
-			return nil, err
-		}
-		bb := rowsToBatch(h.Build.Schema(), buildRows)
-		h.core = newJoinCore(h, &buildSide{cols: bb.Vecs, len: bb.NumRows()})
-		h.partProbeRows = probeRows
-		h.partProbePos = 0
-	}
-}
-
-// rowsToBatch materializes rows into one batch.
-func rowsToBatch(schema *sqltypes.Schema, rows []sqltypes.Row) *vector.Batch {
-	b := vector.NewBatch(schema, len(rows))
-	b.SetNumRows(len(rows))
-	for i, r := range rows {
-		for c := range b.Vecs {
-			b.Vecs[c].SetValue(i, r[c])
+		if len(h.pending) > 0 {
+			out := h.pending[0]
+			h.pending = h.pending[1:]
+			return out, nil
 		}
 	}
-	return b
 }

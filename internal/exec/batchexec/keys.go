@@ -13,8 +13,14 @@ import (
 // into one uint64, and that key indexes the operator's table: a dense slice
 // while the widths sum to at most denseKeyBits, a map beyond. A float key
 // column, or widths summing past packedKeyBits, fall back to exec.EncodeKey
-// bytes. Bit 63 of a packed key marks a row with a value that has no id,
-// which no table entry can hold (see keyCol.fill).
+// bytes; nothing else in the operators keys on them. Bit 63 of a packed key
+// marks a row with a value that has no id, which no table entry can hold
+// (see keyCol.fill).
+//
+// Every row a table resolves comes to it in a batch: operator input, spill
+// partitions read back, and the groups of the partial tables ParallelAgg
+// merges, fed in as key batches. A DISTINCT aggregate's string argument gets
+// its ids from a keyCol of its own.
 //
 // Partitioning (the join exchange, and the spills of hash join and hash
 // aggregation) hashes values instead (keyHasher): ids belong to one table,

@@ -79,8 +79,9 @@ func rowBytes(row sqltypes.Row) int64 {
 	return n
 }
 
-// spillPartition accumulates rows destined for one spill file and flushes
-// them to the storage substrate (paying accounted write I/O).
+// spillPartition accumulates the rows of one spill file, flushes them to the
+// storage substrate in chunks (paying accounted write I/O), and reads them
+// back as batches.
 //
 // String cells use a tagged encoding so dict-coded vectors spill without
 // decoding: a coded cell is written as its dictionary code (tag 1) when the
@@ -89,7 +90,8 @@ func rowBytes(row sqltypes.Row) int64 {
 // live and die within one query on one process, so holding the *encoding.Dict
 // pointer across the round trip is sound, and codes written against a
 // dictionary snapshot stay decodable because dictionary ids are never
-// reassigned.
+// reassigned. Read back, every cell lands in its column's typed vector, and
+// a coded cell materializes to its string.
 type spillPartition struct {
 	schema *sqltypes.Schema
 	store  *storage.Store
@@ -105,15 +107,6 @@ func newSpillPartition(store *storage.Store, schema *sqltypes.Schema) *spillPart
 	return &spillPartition{schema: schema, store: store, dicts: make([]*encoding.Dict, schema.Len())}
 }
 
-func (p *spillPartition) add(row sqltypes.Row) error {
-	p.buf = p.encodeRow(p.buf, row)
-	p.rows++
-	if len(p.buf) >= spillChunkBytes {
-		return p.flush()
-	}
-	return nil
-}
-
 // addBatchRow spills physical row r of b. Dict-coded string cells are
 // written as raw codes — no decoding on the spill write path.
 func (p *spillPartition) addBatchRow(b *vector.Batch, r int) error {
@@ -123,34 +116,6 @@ func (p *spillPartition) addBatchRow(b *vector.Batch, r int) error {
 		return p.flush()
 	}
 	return nil
-}
-
-func (p *spillPartition) encodeRow(dst []byte, row sqltypes.Row) []byte {
-	n := len(p.schema.Cols)
-	nullOff := len(dst)
-	for i := 0; i < (n+7)/8; i++ {
-		dst = append(dst, 0)
-	}
-	for c, col := range p.schema.Cols {
-		v := row[c]
-		if v.Null {
-			dst[nullOff+c/8] |= 1 << uint(c%8)
-			continue
-		}
-		switch col.Typ {
-		case sqltypes.Int64, sqltypes.Date:
-			dst = binary.AppendVarint(dst, v.I)
-		case sqltypes.Bool:
-			dst = append(dst, byte(v.I&1))
-		case sqltypes.Float64:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
-		default: // String
-			dst = append(dst, 0)
-			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-			dst = append(dst, v.S...)
-		}
-	}
-	return dst
 }
 
 func (p *spillPartition) encodeBatchRow(dst []byte, b *vector.Batch, r int) []byte {
@@ -192,69 +157,70 @@ func (p *spillPartition) encodeBatchRow(dst []byte, b *vector.Batch, r int) []by
 	return dst
 }
 
-// decodeRow decodes one spilled row, resolving coded string cells through the
-// given per-column dictionary snapshots.
-func (p *spillPartition) decodeRow(buf []byte, dictVals [][]string) (sqltypes.Row, int, error) {
+// decodeRow decodes one spilled row from buf into row r of b and returns its
+// length, resolving coded string cells through the given per-column
+// dictionary snapshots.
+func (p *spillPartition) decodeRow(buf []byte, b *vector.Batch, r int, dictVals [][]string) (int, error) {
 	ncols := len(p.schema.Cols)
 	nullBytes := (ncols + 7) / 8
 	if len(buf) < nullBytes {
-		return nil, 0, fmt.Errorf("batchexec: spill row truncated in null bitmap")
+		return 0, fmt.Errorf("batchexec: spill row truncated in null bitmap")
 	}
 	nulls := buf[:nullBytes]
 	pos := nullBytes
-	row := make(sqltypes.Row, ncols)
 	for c, col := range p.schema.Cols {
+		v := b.Vecs[c]
 		if nulls[c/8]&(1<<uint(c%8)) != 0 {
-			row[c] = sqltypes.NewNull(col.Typ)
+			v.SetNull(r)
 			continue
 		}
 		switch col.Typ {
 		case sqltypes.Int64, sqltypes.Date:
-			v, n := binary.Varint(buf[pos:])
+			x, n := binary.Varint(buf[pos:])
 			if n <= 0 {
-				return nil, 0, fmt.Errorf("batchexec: bad spill varint in column %d", c)
+				return 0, fmt.Errorf("batchexec: bad spill varint in column %d", c)
 			}
 			pos += n
-			row[c] = sqltypes.Value{Typ: col.Typ, I: v}
+			v.I64[r] = x
 		case sqltypes.Bool:
 			if pos >= len(buf) {
-				return nil, 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
+				return 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
 			}
-			row[c] = sqltypes.Value{Typ: sqltypes.Bool, I: int64(buf[pos] & 1)}
+			v.I64[r] = int64(buf[pos] & 1)
 			pos++
 		case sqltypes.Float64:
 			if pos+8 > len(buf) {
-				return nil, 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
+				return 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
 			}
-			row[c] = sqltypes.Value{Typ: sqltypes.Float64, F: math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))}
+			v.F64[r] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
 			pos += 8
 		default: // String
 			if pos >= len(buf) {
-				return nil, 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
+				return 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
 			}
 			tag := buf[pos]
 			pos++
 			u, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
-				return nil, 0, fmt.Errorf("batchexec: bad spill string in column %d", c)
+			if n <= 0 || tag > 1 {
+				return 0, fmt.Errorf("batchexec: bad spill string in column %d", c)
 			}
 			pos += n
 			if tag == 1 {
 				vals := dictVals[c]
 				if vals == nil || u >= uint64(len(vals)) {
-					return nil, 0, fmt.Errorf("batchexec: spill code %d out of dictionary range in column %d", u, c)
+					return 0, fmt.Errorf("batchexec: spill code %d out of dictionary range in column %d", u, c)
 				}
-				row[c] = sqltypes.NewString(vals[u])
+				v.Str[r] = vals[u]
 				continue
 			}
-			if pos+int(u) > len(buf) {
-				return nil, 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
+			if u > uint64(len(buf)-pos) {
+				return 0, fmt.Errorf("batchexec: spill row truncated in column %d", c)
 			}
-			row[c] = sqltypes.NewString(string(buf[pos : pos+int(u)]))
+			v.Str[r] = string(buf[pos : pos+int(u)])
 			pos += int(u)
 		}
 	}
-	return row, pos, nil
+	return pos, nil
 }
 
 func (p *spillPartition) flush() error {
@@ -270,12 +236,21 @@ func (p *spillPartition) flush() error {
 	return nil
 }
 
-// readAll loads the partition's rows back (accounted read I/O), decoding
-// coded string cells lazily through the bound dictionaries, and frees the
-// spill blobs.
-func (p *spillPartition) readAll() ([]sqltypes.Row, error) {
+// readAll loads the partition back (accounted read I/O) as batches of at
+// most batchRows rows, all in one batch when batchRows is 0, and frees the
+// spill blobs. It returns at least one batch, empty when the partition is.
+func (p *spillPartition) readAll(batchRows int) ([]*vector.Batch, error) {
 	if err := p.flush(); err != nil {
 		return nil, err
+	}
+	if batchRows <= 0 {
+		batchRows = max(p.rows, 1)
+	}
+	out := make([]*vector.Batch, max((p.rows+batchRows-1)/batchRows, 1))
+	for k := range out {
+		n := min(batchRows, p.rows-k*batchRows)
+		out[k] = vector.NewBatch(p.schema, n)
+		out[k].SetNumRows(n)
 	}
 	dictVals := make([][]string, len(p.dicts))
 	for c, d := range p.dicts {
@@ -283,22 +258,26 @@ func (p *spillPartition) readAll() ([]sqltypes.Row, error) {
 			dictVals[c] = d.SnapshotValues()
 		}
 	}
-	out := make([]sqltypes.Row, 0, p.rows)
+	row := 0
 	for _, id := range p.blobs {
 		data, err := p.store.Get(id)
 		if err != nil {
 			return nil, fmt.Errorf("batchexec: spill read: %w", err)
 		}
-		pos := 0
-		for pos < len(data) {
-			row, n, err := p.decodeRow(data[pos:], dictVals)
+		for pos := 0; pos < len(data); row++ {
+			if row == p.rows {
+				return nil, fmt.Errorf("batchexec: spill decode: more than the %d rows written", p.rows)
+			}
+			n, err := p.decodeRow(data[pos:], out[row/batchRows], row%batchRows, dictVals)
 			if err != nil {
 				return nil, fmt.Errorf("batchexec: spill decode: %w", err)
 			}
 			pos += n
-			out = append(out, row)
 		}
 		p.store.Delete(id)
+	}
+	if row < p.rows {
+		return nil, fmt.Errorf("batchexec: spill decode: %d of the %d rows written", row, p.rows)
 	}
 	p.blobs = nil
 	return out, nil

@@ -241,10 +241,26 @@ func TestWorkLedger(t *testing.T) {
 		// changes the table gets a fresh engine per run.
 		engine func() *Engine
 	}
+	// The spilled fixture runs the two E10 queries of paper_claims_test.go
+	// on the SSB tables under a 4 KiB grant, so hash join and aggregation
+	// spill and read their partitions back.
+	spilled := &Engine{Cat: ssb.Cat, TableOpts: ssb.TableOpts, PlanOpts: plan.Options{Mode: plan.Mode2014, Parallel: 1,
+		MemoryBudget: 1 << 12, SpillStore: storage.NewStore(0), NoBloom: true}}
 	var rows []row
 	for _, q := range workload.SSBQueries() {
 		rows = append(rows, row{"ssb " + q.Name, q.SQL, func() *Engine { return ssb }})
 	}
+	for _, q := range workload.RepertoireQueries() {
+		if q.Name == "DistinctAgg" {
+			rows = append(rows, row{"ssb " + q.Name, q.SQL, func() *Engine { return ssb }})
+		}
+	}
+	rows = append(rows,
+		row{"spilled join", "SELECT COUNT(*) FROM lineorder, customer WHERE lo_custkey = c_custkey",
+			func() *Engine { return spilled }},
+		row{"spilled group by", "SELECT lo_custkey, SUM(lo_revenue) FROM lineorder GROUP BY lo_custkey ORDER BY lo_custkey",
+			func() *Engine { return spilled }},
+	)
 	rows = append(rows,
 		row{"string-key join, shared dictionary", "SELECT COUNT(*) FROM customer a JOIN customer b ON a.c_city = b.c_city",
 			func() *Engine { return dims }},
