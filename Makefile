@@ -93,13 +93,14 @@ crash-full:
 # Per-package statement coverage. internal/metrics (the observability core)
 # and internal/stats (the estimators feeding cost-based plan choices) have a
 # hard 70% floor, and internal/degrade (the one write gate every write
-# entry point passes), internal/sched (the one background scheduler) and
-# internal/exec/batchexec (the batch operators and their key kernel) an 80%
-# floor; every other package is report-only for now.
+# entry point passes), internal/sched (the one background scheduler),
+# internal/exec/batchexec (the batch operators and their key kernel) and
+# internal/load (the bulk-load pipeline) an 80% floor; every other package
+# is report-only for now.
 cover:
 	@out=$$($(GO) test -cover ./...) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | awk 'BEGIN { floors["apollo/internal/metrics"] = 70; floors["apollo/internal/stats"] = 70; floors["apollo/internal/degrade"] = 80; floors["apollo/internal/sched"] = 80; floors["apollo/internal/exec/batchexec"] = 80 } \
+	echo "$$out" | awk 'BEGIN { floors["apollo/internal/metrics"] = 70; floors["apollo/internal/stats"] = 70; floors["apollo/internal/degrade"] = 80; floors["apollo/internal/sched"] = 80; floors["apollo/internal/exec/batchexec"] = 80; floors["apollo/internal/load"] = 80 } \
 		$$1 == "ok" && ($$2 in floors) { \
 			for (i = 1; i <= NF; i++) if ($$i ~ /%$$/) pct[$$2] = substr($$i, 1, length($$i)-1) + 0; \
 			seen[$$2] = 1 \

@@ -621,10 +621,15 @@ func (db *DB) TableStats(name string) (*stats.TableStats, error) {
 	return ts, err
 }
 
-// BulkLoad loads rows through the bulk path (row groups compress directly
-// when large enough; see §4.2).
+// BulkLoad loads rows through the bulk path (§4.2): every full row group,
+// and a remainder at or above the bulk threshold, compresses directly; a
+// smaller remainder trickles into the delta store as one batch. A bad row
+// writes nothing.
 func (t *Table) BulkLoad(rows []Row) error {
-	return t.db.state.Gate(func() error { return t.t.BulkLoad(rows) })
+	return t.db.state.Gate(func() error {
+		_, err := t.t.BulkLoad(context.Background(), rows)
+		return err
+	})
 }
 
 // Insert trickle-inserts one row into the table's delta store.

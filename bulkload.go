@@ -28,10 +28,10 @@ type LoadOptions struct {
 	Header bool
 	// Delimiter is the CSV field separator (0 = ',').
 	Delimiter rune
-	// BatchRows pins the batch size, disabling the adaptive controller
-	// (0 = adaptive). Batches at or above the table's bulk threshold
-	// compress directly into row groups; smaller ones fall back to batched
-	// delta inserts.
+	// BatchRows is the batch size: the load cuts a batch every BatchRows
+	// rows (0 = the table's row-group size). Batches at or above the
+	// table's bulk threshold compress directly into row groups; smaller
+	// ones fall back to batched delta inserts.
 	BatchRows int
 	// MaxDeadLetters caps tolerated malformed rows (0 = default 1000,
 	// negative = first bad row aborts). Rejected rows come back in
@@ -49,15 +49,12 @@ type LoadOptions struct {
 }
 
 // LoadResult reports one bulk load: row counts per path (direct vs delta
-// fallback), published groups, retries, per-batch stats from the adaptive
-// controller, and the dead-lettered input rows.
+// fallback), published groups, retries, the batch size the load cut at,
+// and the dead-lettered input rows.
 type LoadResult = load.Result
 
 // LoadDeadLetter is one rejected input row.
 type LoadDeadLetter = load.DeadLetter
-
-// LoadBatchStat is one flushed batch in the adaptive sweep.
-type LoadBatchStat = load.BatchStat
 
 // Load bulk-loads rows into a table (paper §4.2): batches at or above the
 // table's bulk threshold bypass the delta store and compress directly into

@@ -632,8 +632,8 @@ func verifyScript(t *testing.T, r crashRun) {
 // --- bulk: db.Load (the COPY pipeline), whole-group-or-none oracle ---
 //
 // Crash points land inside atomic group publishes. The workload is
-// deterministic in WAL bytes (fixed batch size pins the adaptive
-// controller; serial column builds fix blob allocation order):
+// deterministic in WAL bytes (a fixed batch size fixes the flush sizes;
+// serial column builds fix blob allocation order):
 //
 //   - bulkRounds direct rounds load exactly bulkGroupRows rows each — at or
 //     above the bulk threshold, so each round is one atomic TGroupPublish.

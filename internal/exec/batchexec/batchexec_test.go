@@ -1,6 +1,7 @@
 package batchexec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -54,7 +55,7 @@ func loadTable(t *testing.T, rows []sqltypes.Row) *table.Table {
 	opts := table.Options{RowGroupSize: 500, BulkLoadThreshold: 100, Columnstore: table.DefaultOptions().Columnstore}
 	tb := table.New(store, "t", testSchema(), opts)
 	split := len(rows) * 9 / 10
-	if err := tb.BulkLoad(rows[:split]); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows[:split]); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.InsertMany(rows[split:]); err != nil {
@@ -268,7 +269,7 @@ func TestScanSegmentElimination(t *testing.T) {
 	store := storage.NewStore(storage.DefaultBufferPoolBytes)
 	opts := table.Options{RowGroupSize: 500, BulkLoadThreshold: 100, Columnstore: table.DefaultOptions().Columnstore}
 	tb := table.New(store, "t", testSchema(), opts)
-	if err := tb.BulkLoad(rows); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	scan := NewScan(tb.Snapshot(), []int{0})

@@ -65,7 +65,7 @@ func loadColdTable(t *testing.T, rows []sqltypes.Row) (*table.Table, *storage.St
 	store := storage.NewStore(0)
 	opts := table.Options{RowGroupSize: 200, BulkLoadThreshold: 100, Columnstore: table.DefaultOptions().Columnstore}
 	tb := table.New(store, "cold", testSchema(), opts)
-	if err := tb.BulkLoad(rows); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	return tb, store

@@ -1,6 +1,7 @@
 package batchexec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -232,7 +233,7 @@ func loadStrTable(t *testing.T, rows []sqltypes.Row) *table.Table {
 	opts := table.Options{RowGroupSize: 400, BulkLoadThreshold: 100, Columnstore: table.DefaultOptions().Columnstore}
 	tb := table.New(store, "s", strSchema(), opts)
 	split := len(rows) * 9 / 10
-	if err := tb.BulkLoad(rows[:split]); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows[:split]); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.InsertMany(rows[split:]); err != nil {
@@ -465,7 +466,7 @@ func loadSelTable(t *testing.T) *table.Table {
 	cs.PrimaryDictCap = 40
 	opts := table.Options{RowGroupSize: selGroupRows, BulkLoadThreshold: 100, Columnstore: cs}
 	tb := table.New(storage.NewStore(storage.DefaultBufferPoolBytes), "sel", selSchema(), opts)
-	if err := tb.BulkLoad(rows[:4*selGroupRows]); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows[:4*selGroupRows]); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.InsertMany(rows[4*selGroupRows:]); err != nil {

@@ -1,6 +1,7 @@
 package rowexec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -47,7 +48,7 @@ func loadTable(t *testing.T, rows []sqltypes.Row) *table.Table {
 	opts := table.Options{RowGroupSize: 300, BulkLoadThreshold: 50, Columnstore: table.DefaultOptions().Columnstore}
 	tb := table.New(store, "t", testSchema(), opts)
 	split := len(rows) * 4 / 5
-	if err := tb.BulkLoad(rows[:split]); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows[:split]); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.InsertMany(rows[split:]); err != nil {

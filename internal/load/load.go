@@ -1,11 +1,11 @@
 // Package load implements the bulk-load pipeline (paper §4.2): decoders
 // stream rows out of CSV or length-prefixed binary input, the loader cuts
-// them into batches, and each batch either compresses directly into a row
-// group (at or above the table's bulk threshold, one atomic WAL group
-// publish) or falls back to a single batched delta insert. An adaptive
-// controller tunes the batch size against measured rows/sec and memory-grant
-// pressure; malformed input rows are dead-lettered up to a cap instead of
-// aborting the load.
+// them into batches of a fixed size (earlier under memory-grant pressure),
+// and the table's BulkLoad lands each batch, which compresses it directly
+// into a row group (at or above the table's bulk threshold, one atomic WAL
+// group publish) or trickles it into the delta store as one batch.
+// Malformed input rows are dead-lettered up to a cap instead of aborting
+// the load.
 package load
 
 import (
@@ -19,13 +19,13 @@ import (
 	"apollo/internal/storage"
 )
 
-// Sink is the table-side surface the loader drives. *table.Table satisfies
-// it: CompressDirect publishes the batch as compressed row groups (atomic
-// per group under the WAL), InsertBatch trickle-inserts it into the delta
-// store with one durability wait for the whole batch.
+// Sink is the table-side surface the loader drives; *table.Table satisfies
+// it. BulkLoad decides direct vs delta: a batch at or above the table's bulk
+// threshold publishes as one compressed row group, a smaller one trickles
+// into the delta store with one durability wait for the whole batch. It
+// returns the number of groups published.
 type Sink interface {
-	CompressDirect(rows []sqltypes.Row) (int, error)
-	InsertBatch(ctx context.Context, rows []sqltypes.Row) error
+	BulkLoad(ctx context.Context, rows []sqltypes.Row) (int, error)
 }
 
 // RowReader produces decoded rows. Next returns io.EOF at clean end of
@@ -53,15 +53,6 @@ type DeadLetter struct {
 	Reason string `json:"reason"`
 }
 
-// BatchStat records one flushed batch for the adaptive sweep.
-type BatchStat struct {
-	Rows       int     `json:"rows"`
-	Direct     bool    `json:"direct"`
-	Seconds    float64 `json:"seconds"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	Target     int     `json:"target"` // controller's batch-size target when the batch was cut
-}
-
 // Result is the outcome of one load.
 type Result struct {
 	RowsLoaded  int          `json:"rows_loaded"`
@@ -70,8 +61,7 @@ type Result struct {
 	Groups      int          `json:"groups"`      // row groups published by the direct path
 	Retries     int          `json:"retries"`     // transient-fault batch retries
 	DeadLetters []DeadLetter `json:"dead_letters,omitempty"`
-	Batches     []BatchStat  `json:"batches,omitempty"`
-	FinalTarget int          `json:"final_target"` // controller's batch size when the load ended
+	FinalTarget int          `json:"final_target"` // the batch size the load cut at
 }
 
 // DefaultMaxDeadLetters bounds how many malformed rows a load tolerates
@@ -83,12 +73,12 @@ type Options struct {
 	// RowGroupSize caps a batch (and therefore a published row group).
 	// Required > 0.
 	RowGroupSize int
-	// BulkThreshold is the smallest batch that compresses directly; smaller
-	// flushes fall back to batched delta inserts. <=0 disables the direct
-	// path entirely.
+	// BulkThreshold is the table's bulk threshold, the floor below which
+	// grant pressure never flushes a batch early. <=0 disables early
+	// flushes.
 	BulkThreshold int
-	// BatchRows pins the batch size (clamped to RowGroupSize) and disables
-	// the adaptive controller. 0 = adaptive.
+	// BatchRows is the batch size: the loader cuts a batch every BatchRows
+	// rows. 0, or more than RowGroupSize, means RowGroupSize.
 	BatchRows int
 	// MaxDeadLetters caps tolerated malformed rows (0 = DefaultMaxDeadLetters,
 	// negative = reject none: the first bad row aborts).
@@ -97,10 +87,15 @@ type Options struct {
 	// (0 = 3 attempts total).
 	MaxRetries int
 	// GrantBytes is the loader's memory grant: when the buffered batch is
-	// estimated at or above it, the batch flushes early (grant pressure)
-	// even if the controller wanted it larger. <=0 = unlimited.
+	// estimated at or above it, the batch flushes before BatchRows rows
+	// (grant pressure). <=0 = unlimited.
 	GrantBytes int64
 }
+
+// maxPreallocRows caps the batch buffer a load allocates up front; a larger
+// batch grows by append. A whole default batch (1<<20 rows, 24 MiB of row
+// headers) would be allocated even for a three-row load.
+const maxPreallocRows = 1 << 16
 
 // Loader streams rows from a RowReader into a Sink.
 type Loader struct {
@@ -113,7 +108,7 @@ func New(sink Sink, opts Options) (*Loader, error) {
 	if opts.RowGroupSize <= 0 {
 		return nil, fmt.Errorf("load: RowGroupSize must be positive (got %d)", opts.RowGroupSize)
 	}
-	if opts.BatchRows > opts.RowGroupSize {
+	if opts.BatchRows <= 0 || opts.BatchRows > opts.RowGroupSize {
 		opts.BatchRows = opts.RowGroupSize
 	}
 	if opts.MaxDeadLetters == 0 {
@@ -131,33 +126,24 @@ func New(sink Sink, opts Options) (*Loader, error) {
 // describing whatever was loaded, even alongside an error, so callers can
 // surface partial progress and dead letters in-band.
 func (l *Loader) Run(ctx context.Context, r RowReader) (*Result, error) {
-	res := &Result{}
-	ctrl := newController(l.opts)
-	buf := make([]sqltypes.Row, 0, ctrl.target())
+	res := &Result{FinalTarget: l.opts.BatchRows}
+	buf := make([]sqltypes.Row, 0, min(l.opts.BatchRows, maxPreallocRows))
 	var bufBytes int64
 
 	flush := func() error {
 		if len(buf) == 0 {
 			return nil
 		}
-		direct := l.opts.BulkThreshold > 0 && len(buf) >= l.opts.BulkThreshold
-		start := time.Now()
 		var groups int
 		var err error
 		for attempt := 0; ; attempt++ {
-			if direct {
-				groups, err = l.sink.CompressDirect(buf)
-			} else {
-				err = l.sink.InsertBatch(ctx, buf)
-			}
-			if err == nil {
+			if groups, err = l.sink.BulkLoad(ctx, buf); err == nil {
 				break
 			}
-			// Bounded retry covers transient storage faults, and only while
-			// nothing from this batch has been published (a batch fits in one
-			// row group, so a direct flush is all-or-nothing; groups>0 would
-			// mean re-running duplicates rows).
-			if !storage.IsTransient(err) || groups > 0 || attempt+1 >= l.opts.MaxRetries {
+			// Bounded retry covers transient storage faults. A batch fits in
+			// one row group, so a failed one published nothing and running it
+			// again cannot duplicate rows.
+			if !storage.IsTransient(err) || attempt+1 >= l.opts.MaxRetries {
 				return fmt.Errorf("load: flush of %d rows failed: %w", len(buf), err)
 			}
 			res.Retries++
@@ -167,23 +153,13 @@ func (l *Loader) Run(ctx context.Context, r RowReader) (*Result, error) {
 			case <-time.After(time.Duration(1+attempt) * 5 * time.Millisecond):
 			}
 		}
-		secs := time.Since(start).Seconds()
-		rate := 0.0
-		if secs > 0 {
-			rate = float64(len(buf)) / secs
-		}
-		res.Batches = append(res.Batches, BatchStat{
-			Rows: len(buf), Direct: direct, Seconds: secs, RowsPerSec: rate,
-			Target: ctrl.target(),
-		})
 		res.RowsLoaded += len(buf)
-		if direct {
+		if groups > 0 {
 			res.RowsDirect += len(buf)
 			res.Groups += groups
 		} else {
 			res.RowsDelta += len(buf)
 		}
-		ctrl.observe(rate)
 		buf = buf[:0]
 		bufBytes = 0
 		return nil
@@ -211,17 +187,13 @@ func (l *Loader) Run(ctx context.Context, r RowReader) (*Result, error) {
 		}
 		buf = append(buf, row)
 		bufBytes += rowBytes(row)
-		if len(buf) >= ctrl.target() || l.grantPressure(len(buf), bufBytes) {
+		if len(buf) >= l.opts.BatchRows || l.grantPressure(len(buf), bufBytes) {
 			if err := flush(); err != nil {
 				return res, err
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return res, err
-	}
-	res.FinalTarget = ctrl.target()
-	return res, nil
+	return res, flush()
 }
 
 // grantPressure reports whether the buffered batch should flush early
@@ -240,75 +212,6 @@ func rowBytes(row sqltypes.Row) int64 {
 		n += int64(len(v.S))
 	}
 	return n
-}
-
-// controller is the adaptive batch-size controller: a multiplicative
-// hill-climb on measured rows/sec, after SNIPPETS.md's mutation_batch_size
-// exemplar. Each observed flush rate is compared to the previous one; if
-// throughput improved the controller keeps moving in its current direction
-// (growing toward RowGroupSize or shrinking toward the bulk threshold), and
-// if it degraded by more than the tolerance it reverses.
-type controller struct {
-	size     int
-	min, max int
-	fixed    bool
-	dir      float64 // +1 growing, -1 shrinking
-	lastRate float64
-}
-
-const (
-	ctrlStep      = 1.25 // multiplicative step per observation
-	ctrlTolerance = 0.05 // reverse direction on >5% throughput drop
-)
-
-func newController(o Options) *controller {
-	c := &controller{min: o.BulkThreshold, max: o.RowGroupSize, dir: +1}
-	if c.min <= 0 || c.min > c.max {
-		c.min = c.max / 16
-	}
-	if c.min < 1 {
-		c.min = 1
-	}
-	if o.BatchRows > 0 {
-		c.size = o.BatchRows
-		c.fixed = true
-		return c
-	}
-	// Start at the direct-path threshold: the smallest batch that still
-	// compresses directly, so early batches are cheap while the controller
-	// learns.
-	c.size = c.min
-	return c
-}
-
-func (c *controller) target() int { return c.size }
-
-func (c *controller) observe(rate float64) {
-	if c.fixed || rate <= 0 {
-		return
-	}
-	if c.lastRate > 0 && rate < c.lastRate*(1-ctrlTolerance) {
-		c.dir = -c.dir
-	}
-	c.lastRate = rate
-	next := c.size
-	if c.dir > 0 {
-		next = int(float64(c.size) * ctrlStep)
-	} else {
-		next = int(float64(c.size) / ctrlStep)
-	}
-	if next == c.size {
-		next += int(c.dir)
-	}
-	if next > c.max {
-		next = c.max
-		c.dir = -1
-	}
-	if next < c.min {
-		next = c.min
-		c.dir = +1
-	}
-	c.size = next
 }
 
 // Pipelined decouples decoding from compression through a bounded channel:

@@ -22,29 +22,30 @@ func testSchema() *sqltypes.Schema {
 	)
 }
 
-// fakeSink records what the loader handed it.
+// fakeSink records what the loader handed it, splitting the batches the
+// way table.BulkLoad does: one at or above threshold (and threshold > 0) is
+// a published group, a smaller one delta rows.
 type fakeSink struct {
-	direct   [][]sqltypes.Row
-	delta    [][]sqltypes.Row
-	failures int // fail the first N calls with a non-transient error
+	threshold int
+	direct    [][]sqltypes.Row
+	delta     [][]sqltypes.Row
+	calls     []int // rows per BulkLoad call, in order
+	failures  int   // fail the first N calls with a non-transient error
 }
 
-func (f *fakeSink) CompressDirect(rows []sqltypes.Row) (int, error) {
+func (f *fakeSink) BulkLoad(_ context.Context, rows []sqltypes.Row) (int, error) {
+	f.calls = append(f.calls, len(rows))
 	if f.failures > 0 {
 		f.failures--
 		return 0, errors.New("sink: injected failure")
 	}
-	f.direct = append(f.direct, append([]sqltypes.Row(nil), rows...))
-	return 1, nil
-}
-
-func (f *fakeSink) InsertBatch(_ context.Context, rows []sqltypes.Row) error {
-	if f.failures > 0 {
-		f.failures--
-		return errors.New("sink: injected failure")
+	batch := append([]sqltypes.Row(nil), rows...)
+	if f.threshold > 0 && len(rows) >= f.threshold {
+		f.direct = append(f.direct, batch)
+		return 1, nil
 	}
-	f.delta = append(f.delta, append([]sqltypes.Row(nil), rows...))
-	return nil
+	f.delta = append(f.delta, batch)
+	return 0, nil
 }
 
 func (f *fakeSink) rows() int {
@@ -66,25 +67,29 @@ func csvInput(n int) string {
 	return sb.String()
 }
 
+// The cut points are a function of the input: a batch every BatchRows
+// rows, where 0 and any value past RowGroupSize mean RowGroupSize.
 func TestLoaderSplitsDirectAndDelta(t *testing.T) {
-	sink := &fakeSink{}
-	ldr, err := New(sink, Options{RowGroupSize: 100, BulkThreshold: 50, BatchRows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 230 rows at batch 100: two direct batches of 100, remainder 30 < 50 → delta.
-	res, err := ldr.Run(context.Background(), NewCSVReader(strings.NewReader(csvInput(230)), testSchema(), CSVOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RowsLoaded != 230 || res.RowsDirect != 200 || res.RowsDelta != 30 || res.Groups != 2 {
-		t.Fatalf("got %+v, want 230 loaded / 200 direct / 30 delta / 2 groups", res)
-	}
-	if len(sink.direct) != 2 || len(sink.delta) != 1 {
-		t.Fatalf("sink saw %d direct, %d delta batches", len(sink.direct), len(sink.delta))
-	}
-	if len(res.Batches) != 3 {
-		t.Fatalf("expected 3 batch stats, got %d", len(res.Batches))
+	for _, batch := range []int{100, 0, 1000} {
+		sink := &fakeSink{threshold: 50}
+		ldr, err := New(sink, Options{RowGroupSize: 100, BulkThreshold: 50, BatchRows: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 230 rows at batch 100: two direct batches of 100, remainder 30 < 50 → delta.
+		res, err := ldr.Run(context.Background(), NewCSVReader(strings.NewReader(csvInput(230)), testSchema(), CSVOptions{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsLoaded != 230 || res.RowsDirect != 200 || res.RowsDelta != 30 || res.Groups != 2 || res.FinalTarget != 100 {
+			t.Fatalf("BatchRows %d: got %+v, want 230 loaded / 200 direct / 30 delta / 2 groups, cut at 100", batch, res)
+		}
+		if len(sink.direct) != 2 || len(sink.delta) != 1 {
+			t.Fatalf("BatchRows %d: sink saw %d direct, %d delta batches", batch, len(sink.direct), len(sink.delta))
+		}
+		if fmt.Sprint(sink.calls) != "[100 100 30]" {
+			t.Fatalf("BatchRows %d: sink calls %v, want [100 100 30]", batch, sink.calls)
+		}
 	}
 }
 
@@ -238,68 +243,35 @@ func TestBinaryOversizedFrameIsFatal(t *testing.T) {
 	}
 }
 
-func TestControllerClimbsAndReverses(t *testing.T) {
-	c := newController(Options{RowGroupSize: 1 << 16, BulkThreshold: 1 << 10})
-	if c.target() != 1<<10 {
-		t.Fatalf("controller should start at the threshold, got %d", c.target())
-	}
-	// Monotonically improving throughput keeps the controller growing.
-	last := c.target()
-	for i := 0; i < 10; i++ {
-		c.observe(float64(1000 * (i + 1)))
-		if c.target() < last {
-			t.Fatalf("controller shrank (%d -> %d) under improving throughput", last, c.target())
-		}
-		last = c.target()
-	}
-	grown := c.target()
-	if grown <= 1<<10 {
-		t.Fatalf("controller never grew: %d", grown)
-	}
-	// A big throughput drop reverses the direction.
-	c.observe(100)
-	if c.target() >= grown {
-		t.Fatalf("controller did not back off after a throughput drop: %d -> %d", grown, c.target())
-	}
-	// Targets always stay within [threshold, row group size].
-	for i := 0; i < 100; i++ {
-		c.observe(float64(50 + i%3*10000))
-		if c.target() < 1<<10 || c.target() > 1<<16 {
-			t.Fatalf("controller escaped its bounds: %d", c.target())
-		}
-	}
-}
-
 func TestGrantPressureFlushesEarly(t *testing.T) {
-	sink := &fakeSink{}
+	sink := &fakeSink{threshold: 16}
 	// Strings are ~1KiB per row; a 64KiB grant forces flushes well before the
-	// 1<<20-row adaptive target, but never below the 16-row threshold.
+	// 1<<20-row batch size, but never below the 16-row threshold.
 	ldr, _ := New(sink, Options{RowGroupSize: 1 << 20, BulkThreshold: 16, GrantBytes: 64 << 10})
 	var sb strings.Builder
 	big := strings.Repeat("x", 1024)
 	for i := 0; i < 500; i++ {
 		fmt.Fprintf(&sb, "%d,%s,1.0,true,2024-01-01\n", i, big)
 	}
-	res, err := ldr.Run(context.Background(), NewCSVReader(strings.NewReader(sb.String()), testSchema(), CSVOptions{}))
-	if err != nil {
+	if _, err := ldr.Run(context.Background(), NewCSVReader(strings.NewReader(sb.String()), testSchema(), CSVOptions{})); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Batches) < 4 {
-		t.Fatalf("grant pressure should have forced multiple flushes, got %d batches", len(res.Batches))
+	if len(sink.calls) < 4 {
+		t.Fatalf("grant pressure should have forced multiple flushes, got %d batches", len(sink.calls))
 	}
-	for i, b := range res.Batches {
-		if b.Direct {
+	for i, rows := range sink.calls {
+		if rows >= 16 {
 			// Pressure caps every direct flush far below the 1<<20-row
-			// adaptive ceiling (~64KiB / ~1KiB rows), never below threshold.
-			if b.Rows < 16 || b.Rows > 128 {
-				t.Fatalf("direct batch %d outside the pressure window: %+v", i, b)
+			// batch size (~64KiB / ~1KiB rows), never below threshold.
+			if rows > 128 {
+				t.Fatalf("direct batch %d outside the pressure window: %d rows", i, rows)
 			}
 			continue
 		}
 		// Only a sub-threshold tail at EOF may fall back to delta; a
 		// mid-stream delta flush would mean pressure diverted bulk rows.
-		if i != len(res.Batches)-1 || b.Rows >= 16 {
-			t.Fatalf("pressure flush diverted bulk rows to the delta store: batch %d %+v", i, b)
+		if i != len(sink.calls)-1 {
+			t.Fatalf("pressure flush diverted bulk rows to the delta store: batch %d of %d rows", i, rows)
 		}
 	}
 	if sink.rows() != 500 {

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -130,7 +131,7 @@ func TestBulkLoadDurable(t *testing.T) {
 	for i := range rows {
 		rows[i] = mkRow(int64(i))
 	}
-	if err := tb.BulkLoad(rows); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	want := liveIDs(t, tb)

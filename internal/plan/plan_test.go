@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -60,11 +61,11 @@ func makeFixture(t *testing.T, nFact, nDim int) *fixture {
 		})
 	}
 	f.fact = table.New(store, "fact", factSchema(), opts)
-	if err := f.fact.BulkLoad(f.factRows); err != nil {
+	if _, err := f.fact.BulkLoad(context.Background(), f.factRows); err != nil {
 		t.Fatal(err)
 	}
 	f.dim = table.New(store, "dim", dimSchema(), opts)
-	if err := f.dim.BulkLoad(f.dimRows); err != nil {
+	if _, err := f.dim.BulkLoad(context.Background(), f.dimRows); err != nil {
 		t.Fatal(err)
 	}
 	return f

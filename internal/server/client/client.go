@@ -235,8 +235,8 @@ func (c *Client) QueryStream(ctx context.Context, sql string, args []any,
 	return nil, fmt.Errorf("apollod: stream ended without a done line")
 }
 
-// LoadResult is /v1/load's response: counters for the two ingest paths,
-// per-batch stats from the adaptive controller, and the dead-lettered rows.
+// LoadResult is /v1/load's response: counters for the two ingest paths
+// and the dead-lettered rows.
 // A partial failure carries both the error and whatever loaded before it.
 type LoadResult struct {
 	RowsLoaded  int     `json:"rows_loaded"`

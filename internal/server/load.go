@@ -25,7 +25,6 @@ type loadResponse struct {
 	Groups      int                     `json:"groups"`
 	Retries     int                     `json:"retries"`
 	DeadLetters []apollo.LoadDeadLetter `json:"dead_letters,omitempty"`
-	Batches     []apollo.LoadBatchStat  `json:"batches,omitempty"`
 	ElapsedMs   float64                 `json:"elapsed_ms"`
 	Error       *wireError              `json:"error,omitempty"`
 }
@@ -103,7 +102,6 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request, tenantName s
 		Groups:      res.Groups,
 		Retries:     res.Retries,
 		DeadLetters: res.DeadLetters,
-		Batches:     res.Batches,
 		ElapsedMs:   float64(time.Since(start).Microseconds()) / 1000,
 	}
 	s.rowsLoaded.Add(int64(res.RowsLoaded))

@@ -58,7 +58,7 @@ type ShowStats struct{ Table string }
 // Batches at or above the table's bulk threshold compress directly into row
 // groups; smaller remainders fall back to batched delta inserts. Options:
 // format ('csv' default, or 'binary'), header, delimiter ','), batch_rows=N
-// (pin the batch size; default adaptive), max_dead_letters=N.
+// (the batch size; default the table's row-group size), max_dead_letters=N.
 type Copy struct {
 	Table          string
 	Path           string

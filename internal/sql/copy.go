@@ -16,7 +16,7 @@ type LoadSpec struct {
 	Format         string // "csv" (default) or "binary"
 	Header         bool   // CSV: skip the first record
 	Delim          rune   // CSV field delimiter; 0 = ','
-	BatchRows      int    // pin the batch size; 0 = adaptive controller
+	BatchRows      int    // rows per batch; 0 = the table's row-group size
 	MaxDeadLetters int    // 0 = loader default, <0 = first bad row aborts
 	MaxRetries     int    // transient-fault batch retries; 0 = default
 	// QueueDepth > 0 pipelines decoding from compression through a bounded

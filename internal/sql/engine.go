@@ -142,7 +142,7 @@ func (e *Engine) write(ctx context.Context, st Statement, tx *txn.Txn, p *Prepar
 	case *Copy:
 		return e.copyFrom(ctx, x)
 	case *Insert:
-		return e.insert(x, tx, bag)
+		return e.insert(ctx, x, tx, bag)
 	case *Delete:
 		return e.delete(x, tx, bag)
 	case *Update:
@@ -386,7 +386,7 @@ func (e *Engine) dmlErr(err error) error {
 	return err
 }
 
-func (e *Engine) insert(ins *Insert, tx *txn.Txn, bag *ParamBag) (*Result, error) {
+func (e *Engine) insert(ctx context.Context, ins *Insert, tx *txn.Txn, bag *ParamBag) (*Result, error) {
 	t, err := e.Cat.Get(ins.Table)
 	if err != nil {
 		return nil, err
@@ -402,7 +402,13 @@ func (e *Engine) insert(ins *Insert, tx *txn.Txn, bag *ParamBag) (*Result, error
 	if tx != nil {
 		// Transactional inserts always trickle through the delta store: the
 		// bulk path publishes compressed row groups directly, which have no
-		// per-row version state to roll back.
+		// per-row version state to roll back. Every row is checked before
+		// the first is written, so a bad row leaves nothing for COMMIT.
+		for _, row := range rows {
+			if err := t.CheckRow(row); err != nil {
+				return nil, err
+			}
+		}
 		if err := tx.Touch(t); err != nil {
 			return nil, err
 		}
@@ -413,12 +419,7 @@ func (e *Engine) insert(ins *Insert, tx *txn.Txn, bag *ParamBag) (*Result, error
 		}
 		return &Result{Affected: len(rows)}, nil
 	}
-	// Large literal batches take the bulk path, small ones trickle (§4.2).
-	if len(rows) >= t.Opts.BulkLoadThreshold {
-		if err := t.BulkLoad(rows); err != nil {
-			return nil, err
-		}
-	} else if err := t.InsertMany(rows); err != nil {
+	if _, err := t.BulkLoad(ctx, rows); err != nil {
 		return nil, err
 	}
 	return &Result{Affected: len(rows)}, nil

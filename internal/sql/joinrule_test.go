@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -79,7 +80,7 @@ func TestIntegralFloatJoinParity(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if err := tb.BulkLoad(rows); err != nil {
+							if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 								t.Fatal(err)
 							}
 						}

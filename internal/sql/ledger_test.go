@@ -6,6 +6,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -110,7 +111,7 @@ func ledgerFact(t *testing.T, data *workload.SSBData, n, rowGroupSize int, setup
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lo.BulkLoad(data.Lineorder[:n]); err != nil {
+	if _, err := lo.BulkLoad(context.Background(), data.Lineorder[:n]); err != nil {
 		t.Fatal(err)
 	}
 	e := &Engine{Cat: cat, PlanOpts: plan.Options{Mode: plan.Mode2014, Parallel: 1}, TableOpts: opts}
@@ -150,7 +151,7 @@ func ledgerDims(t *testing.T, data *workload.SSBData) *Engine {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tb.BulkLoad(d.rows); err != nil {
+		if _, err := tb.BulkLoad(context.Background(), d.rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func ledgerOLTP(t *testing.T) *Engine {
 	for i := 0; i < cap(rows); i++ {
 		rows = append(rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(0), sqltypes.NewInt(int64(1 + i%100))})
 	}
-	if err := ev.BulkLoad(rows); err != nil {
+	if _, err := ev.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, e, "INSERT INTO acct VALUES (1, 0)")
@@ -234,6 +235,19 @@ func TestWorkLedger(t *testing.T) {
 	deltaFixture := ledgerFact(t, data, 20000, 1<<16, groupBy, "INSERT INTO lineorder VALUES "+
 		"(90001, 1, 1, 1, DATE '1995-01-01', 5, 100, 1, 99, 50), "+
 		"(90002, 1, 1, 1, DATE '1995-01-02', 6, 200, 2, 196, 60)")
+	// The staging insert is the ssb_scan benchmark's write: 128 rows in one
+	// autocommit INSERT into a table whose bulk threshold keeps them in the
+	// delta store.
+	var staging strings.Builder
+	staging.WriteString("INSERT INTO lineorder VALUES ")
+	for i := 0; i < 128; i++ {
+		if i > 0 {
+			staging.WriteString(", ")
+		}
+		price := 90000 + 7919*i%1000000
+		fmt.Fprintf(&staging, "(%d, %d, %d, %d, DATE '1995-06-15', %d, %d, %d, %d, %d)",
+			1+i, 1+i%50, 1+i%40, 1+i%10, 1+i%50, price, i%11, price*(100-i%11)/100, price*6/10)
+	}
 	type row struct {
 		name string
 		stmt string
@@ -275,6 +289,8 @@ func TestWorkLedger(t *testing.T) {
 		row{"select after keyed delete, 2656-row delta tail", "SELECT COUNT(*) FROM lineorder WHERE lo_orderkey = 3",
 			func() *Engine { return deleteFixture }},
 		row{"group by after insert, 20000-row delta", groupBy, func() *Engine { return deltaFixture }},
+		row{"autocommit insert, 128 rows into a delta table", staging.String(),
+			func() *Engine { return ledgerFact(t, data, 0, 1<<16) }},
 	)
 
 	var out strings.Builder

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -47,7 +48,7 @@ func skewTable(t *testing.T) *table.Table {
 			f,
 		}
 	}
-	if err := tb.BulkLoad(rows); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	return tb

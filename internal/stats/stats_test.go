@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func buildTable(t *testing.T, n int) (*table.Table, []sqltypes.Row) {
 			f,
 		}
 	}
-	if err := tb.BulkLoad(rows[:n*4/5]); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows[:n*4/5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := tb.InsertMany(rows[n*4/5:]); err != nil {

@@ -11,7 +11,7 @@ import (
 // coerced copies the table may keep.
 func (t *Table) prepareRows(rows []sqltypes.Row) ([]sqltypes.Row, error) {
 	for _, r := range rows {
-		if err := t.checkRow(r); err != nil {
+		if err := t.CheckRow(r); err != nil {
 			return nil, err
 		}
 	}
@@ -22,73 +22,54 @@ func (t *Table) prepareRows(rows []sqltypes.Row) ([]sqltypes.Row, error) {
 	return coerced, nil
 }
 
-// BulkLoad loads rows through the bulk path (§4.2): full row groups compress
-// directly; a trailing remainder at or above BulkLoadThreshold also
-// compresses (as a smaller row group); a remainder below the threshold is
-// trickle-inserted into the open delta store as one batch.
-func (t *Table) BulkLoad(rows []sqltypes.Row) error {
+// BulkLoad is the table's one bulk-write rule (§4.2): bulk loads above a
+// threshold bypass the delta store and compress directly. Every row is
+// validated first, so a bad row writes nothing. Each full RowGroupSize chunk,
+// and a trailing remainder at or above BulkLoadThreshold, publishes as one
+// compressed row group: one atomic TGroupPublish WAL append whose segment
+// blobs are already durable, so recovery replays whole groups or none. A
+// smaller remainder trickles into the open delta store as one batch (see
+// insertBatch). Returns the number of groups published, also on error: a
+// call of at most RowGroupSize rows that fails has published nothing.
+func (t *Table) BulkLoad(ctx context.Context, rows []sqltypes.Row) (int, error) {
 	rows, err := t.prepareRows(rows)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	direct := len(rows) - len(rows)%t.Opts.RowGroupSize
 	if len(rows)-direct >= t.Opts.BulkLoadThreshold {
 		direct = len(rows)
 	}
-	if _, err := t.compressChunks(rows[:direct]); err != nil {
-		return err
-	}
-	return t.insertBatch(context.Background(), rows[direct:])
-}
-
-// CompressDirect compresses rows straight into published row groups,
-// bypassing the delta store entirely: one group per RowGroupSize chunk, the
-// trailing remainder as a smaller final group regardless of the bulk
-// threshold (the caller — the load pipeline — decides the direct-vs-delta
-// split per batch). Each group is one atomic TGroupPublish WAL append whose
-// segment blobs are already durable, so recovery replays whole groups or
-// none; a crash mid-publish truncates the torn record and the group is
-// simply absent. Returns the number of groups published.
-func (t *Table) CompressDirect(rows []sqltypes.Row) (int, error) {
-	rows, err := t.prepareRows(rows)
-	if err != nil {
-		return 0, err
-	}
-	return t.compressChunks(rows)
-}
-
-// compressChunks publishes prepared rows as RowGroupSize groups plus a
-// smaller final one, returning the number of groups published.
-func (t *Table) compressChunks(rows []sqltypes.Row) (int, error) {
 	groups := 0
-	for i := 0; i < len(rows); i += t.Opts.RowGroupSize {
-		if err := t.compressRows(rows[i:min(i+t.Opts.RowGroupSize, len(rows))]); err != nil {
+	for i := 0; i < direct; i += t.Opts.RowGroupSize {
+		if err := t.compressRows(rows[i:min(i+t.Opts.RowGroupSize, direct)]); err != nil {
 			return groups, err
 		}
 		groups++
 	}
-	return groups, nil
+	return groups, t.insertBatch(ctx, rows[direct:])
 }
 
-// InsertBatch trickle-inserts rows as one batch (the bulk loader's
-// below-threshold fallback): every row lands in the open delta store under
-// a single lock hold, the per-row WAL records are appended without
-// per-record fsyncs, and one durability wait at the end covers the whole
-// batch — so an fsync=always load pays one group-commit per batch instead
-// of one per row. Durability semantics match Insert: under fsync=always the
-// call returns only after the batch is on disk; under interval/off the wait
-// is skipped, exactly as Append would. ctx bounds only the final durability
-// wait — on cancellation the rows are already applied and ride the next
-// sync; only the confirmation is abandoned.
-func (t *Table) InsertBatch(ctx context.Context, rows []sqltypes.Row) error {
+// InsertMany trickle-inserts rows into the open delta store as one batch,
+// whatever their count: every row is validated first, then they all land
+// as insertBatch lands them.
+func (t *Table) InsertMany(rows []sqltypes.Row) error {
 	rows, err := t.prepareRows(rows)
 	if err != nil {
 		return err
 	}
-	return t.insertBatch(ctx, rows)
+	return t.insertBatch(context.Background(), rows)
 }
 
-// insertBatch is InsertBatch on prepared rows.
+// insertBatch trickle-inserts prepared rows as one batch: every row lands in
+// the open delta store under a single lock hold and one write context, the
+// per-row WAL records are appended without per-record fsyncs, and one
+// durability wait at the end covers the whole batch, so an fsync=always
+// batch pays one group commit instead of one per row. Under fsync=always the
+// call returns only after the batch is on disk; under interval/off the wait
+// is skipped, exactly as Append would. ctx bounds only the final durability
+// wait: on cancellation the rows are already applied and ride the next
+// sync; only the confirmation is abandoned.
 func (t *Table) insertBatch(ctx context.Context, rows []sqltypes.Row) error {
 	if len(rows) == 0 {
 		return nil

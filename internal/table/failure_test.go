@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func TestSegmentCorruptionDetected(t *testing.T) {
 	store := storage.NewStore(storage.DefaultBufferPoolBytes)
 	tb := New(store, "t", testSchema(), smallOpts())
-	if err := tb.BulkLoad(mkRows(100)); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), mkRows(100)); err != nil {
 		t.Fatal(err)
 	}
 	g := tb.Index().Groups()[0]
@@ -52,7 +53,7 @@ func TestSegmentCorruptionDetected(t *testing.T) {
 // Row-group boundaries: loads landing exactly on RowGroupSize multiples.
 func TestExactRowGroupBoundaries(t *testing.T) {
 	tb := newTable(t) // RowGroupSize 100, threshold 20
-	if err := tb.BulkLoad(mkRows(300)); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), mkRows(300)); err != nil {
 		t.Fatal(err)
 	}
 	st := tb.Stat()
@@ -90,7 +91,7 @@ func TestExactRowGroupBoundaries(t *testing.T) {
 // rebuild empties the directory, inserts work afterwards.
 func TestFullyDeletedTable(t *testing.T) {
 	tb := newTable(t)
-	tb.BulkLoad(mkRows(150))
+	tb.BulkLoad(context.Background(), mkRows(150))
 	n, err := tb.DeleteWhere(func(sqltypes.Row) bool { return true })
 	if err != nil || n != 150 {
 		t.Fatalf("deleted %d, %v", n, err)

@@ -172,7 +172,10 @@ func (t *Table) newDeltaStoreLocked() *delta.Store {
 	return delta.NewStore(t.deltaID)
 }
 
-func (t *Table) checkRow(row sqltypes.Row) error {
+// CheckRow returns an error unless row fits the schema: its width, each
+// column's type, and NOT NULL. A multi-row write checks every row before it
+// writes the first.
+func (t *Table) CheckRow(row sqltypes.Row) error {
 	if len(row) != t.Schema.Len() {
 		return fmt.Errorf("table %s: row width %d, want %d", t.Name, len(row), t.Schema.Len())
 	}
@@ -225,7 +228,7 @@ func (t *Table) Insert(row sqltypes.Row) (Locator, error) {
 // autocommit). A transactional insert is provisional — invisible to other
 // sessions until the transaction commits.
 func (t *Table) InsertTxn(tx TxnRef, row sqltypes.Row) (Locator, error) {
-	if err := t.checkRow(row); err != nil {
+	if err := t.CheckRow(row); err != nil {
 		return Locator{}, err
 	}
 	row = t.coerceRow(row)
@@ -282,16 +285,6 @@ func (t *Table) closeOpenLocked() error {
 	old.Close()
 	t.closed = append(t.closed, old)
 	t.open = t.newDeltaStoreLocked()
-	return nil
-}
-
-// InsertMany trickle-inserts rows one at a time (the non-bulk path).
-func (t *Table) InsertMany(rows []sqltypes.Row) error {
-	for _, r := range rows {
-		if _, err := t.Insert(r); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -578,7 +571,7 @@ func (t *Table) UpdateWhereTxn(tx TxnRef, pred func(sqltypes.Row) bool, set func
 			continue
 		}
 		updates[i] = set(row.Clone())
-		if err := t.checkRow(updates[i]); err != nil {
+		if err := t.CheckRow(updates[i]); err != nil {
 			return 0, err
 		}
 	}

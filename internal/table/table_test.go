@@ -1,6 +1,7 @@
 package table
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -120,7 +121,7 @@ func TestTupleMoverCompressesClosedStores(t *testing.T) {
 func TestBulkLoadPaths(t *testing.T) {
 	tb := newTable(t)
 	// 250 rows: two full groups of 100, remainder 50 >= threshold 20 -> third group.
-	if err := tb.BulkLoad(mkRows(250)); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), mkRows(250)); err != nil {
 		t.Fatal(err)
 	}
 	st := tb.Stat()
@@ -129,7 +130,7 @@ func TestBulkLoadPaths(t *testing.T) {
 	}
 
 	// 10 more rows: below threshold -> delta store.
-	if err := tb.BulkLoad(mkRows(10)); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), mkRows(10)); err != nil {
 		t.Fatal(err)
 	}
 	st = tb.Stat()
@@ -140,7 +141,7 @@ func TestBulkLoadPaths(t *testing.T) {
 
 func TestDeleteWhereAcrossStores(t *testing.T) {
 	tb := newTable(t)
-	tb.BulkLoad(mkRows(100)) // compressed group
+	tb.BulkLoad(context.Background(), mkRows(100)) // compressed group
 	for i := 100; i < 150; i++ {
 		tb.Insert(mkRow(int64(i))) // delta rows
 	}
@@ -168,7 +169,7 @@ func TestDeleteWhereAcrossStores(t *testing.T) {
 
 func TestUpdateWhereIsDeletePlusInsert(t *testing.T) {
 	tb := newTable(t)
-	tb.BulkLoad(mkRows(100))
+	tb.BulkLoad(context.Background(), mkRows(100))
 	n, err := tb.UpdateWhere(
 		func(r sqltypes.Row) bool { return r[0].I < 10 },
 		func(r sqltypes.Row) sqltypes.Row {
@@ -210,7 +211,7 @@ func TestFetchRowBookmarks(t *testing.T) {
 		t.Fatalf("FetchRow = %v, %v", row, ok)
 	}
 	// Compressed bookmark.
-	tb.BulkLoad(mkRows(100))
+	tb.BulkLoad(context.Background(), mkRows(100))
 	g := tb.Index().Groups()[0]
 	cloc := Locator{Group: g.ID, Tuple: 5}
 	if _, ok := tb.FetchRow(cloc); !ok {
@@ -371,7 +372,7 @@ func TestConcurrentInsertQueryMove(t *testing.T) {
 
 func TestSample(t *testing.T) {
 	tb := newTable(t)
-	tb.BulkLoad(mkRows(500))
+	tb.BulkLoad(context.Background(), mkRows(500))
 	for i := 500; i < 600; i++ {
 		tb.Insert(mkRow(int64(i)))
 	}
@@ -435,7 +436,7 @@ func TestMergeSmallGroups(t *testing.T) {
 		for i := range rows {
 			rows[i] = mkRow(int64(g*30 + i))
 		}
-		if err := tb.BulkLoad(rows); err != nil {
+		if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 			t.Fatal(err)
 		}
 	}

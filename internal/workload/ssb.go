@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -197,7 +198,7 @@ func LoadSSB(cat *catalog.Catalog, d *SSBData, opts table.Options) error {
 		if err != nil {
 			return err
 		}
-		if err := t.BulkLoad(l.rows); err != nil {
+		if _, err := t.BulkLoad(context.Background(), l.rows); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package apollo
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/csv"
 	"fmt"
@@ -383,12 +384,15 @@ func TestLoadSnapshotNeverSeesPartialGroup(t *testing.T) {
 	}
 }
 
-// TestBulkLoadSweep loads one 120k-row CSV five ways — SQL COPY from a
-// file, then db.Load at fixed batch sizes and once with the adaptive
-// controller (BatchRows 0) — into tables whose bulk threshold is far below
-// the input. Every leg must land each row (no dead letters), leave at most a
+// TestBulkLoadSweep loads one 120k-row input six ways — SQL COPY from a
+// file, db.Load at three batch sizes and at the default (BatchRows 0), and
+// Table.BulkLoad — into tables whose bulk threshold is far below the input.
+// Every leg must land each row (no dead letters), leave at most a
 // sub-threshold tail in the delta store, and match closed-form COUNT/SUM
-// aggregates, so the fast path cannot drop, duplicate, or mangle rows.
+// aggregates, so the fast path cannot drop, duplicate, or mangle rows. The
+// layout is a function of the input: each leg publishes a group every batch
+// rows (a row group for COPY, the default and BulkLoad) and the remainder
+// as one more group when it reaches the threshold.
 func TestBulkLoadSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk-load sweep moves ~600k rows; skipped in -short")
@@ -412,9 +416,11 @@ func TestBulkLoadSweep(t *testing.T) {
 	var sb strings.Builder
 	sb.Grow(rows * 16)
 	var wantGrp int64
+	input := make([]Row, rows)
 	for i := 0; i < rows; i++ {
 		fmt.Fprintf(&sb, "%d,%d,v-%d\n", i, i%97, i%50)
 		wantGrp += int64(i % 97)
+		input[i] = Row{NewInt(int64(i)), NewInt(int64(i % 97)), NewString(fmt.Sprintf("v-%d", i%50))}
 	}
 	data := sb.String()
 	wantSum := int64(rows) * int64(rows-1) / 2
@@ -425,14 +431,15 @@ func TestBulkLoadSweep(t *testing.T) {
 
 	legs := []struct {
 		name  string
-		copy  bool
-		batch int // db.Load BatchRows; 0 = adaptive
+		via   string // "copy", "load" (db.Load) or "bulkload" (Table.BulkLoad)
+		batch int    // db.Load BatchRows; 0 = the row-group size
 	}{
-		{"copy", true, 0},
-		{"load_4096", false, threshold},
-		{"load_8192", false, threshold * 2},
-		{"load_16384", false, rowGroupSize},
-		{"load_adaptive", false, 0},
+		{"copy", "copy", 0},
+		{"load_4096", "load", threshold},
+		{"load_8192", "load", threshold * 2},
+		{"load_16384", "load", rowGroupSize},
+		{"load_default", "load", 0}, // seven groups of 16,384 rows and one of 5,312
+		{"bulkload", "bulkload", 0},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {
@@ -441,22 +448,28 @@ func TestBulkLoadSweep(t *testing.T) {
 				table, rowGroupSize, threshold)); err != nil {
 				t.Fatal(err)
 			}
+			tb, err := db.Table(table)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var loaded, delta int
-			if leg.copy {
+			switch leg.via {
+			case "copy":
 				res, err := db.Exec(fmt.Sprintf("COPY %s FROM '%s' WITH (format='csv')", table, path))
 				if err != nil {
 					t.Fatalf("COPY: %v", err)
-				}
-				tb, err := db.Table(table)
-				if err != nil {
-					t.Fatal(err)
 				}
 				st := tb.Stats()
 				loaded, delta = res.Affected, st.DeltaRows
 				if st.CompressedRows != rows-st.DeltaRows || st.CompressedGroups == 0 {
 					t.Fatalf("COPY compressed %d rows in %d groups, want %d", st.CompressedRows, st.CompressedGroups, rows-st.DeltaRows)
 				}
-			} else {
+			case "bulkload":
+				if err := tb.BulkLoad(input); err != nil {
+					t.Fatalf("BulkLoad: %v", err)
+				}
+				loaded, delta = rows, tb.Stats().DeltaRows
+			default:
 				res, err := db.Load(context.Background(), LoadOptions{
 					Table: table, Reader: strings.NewReader(data), BatchRows: leg.batch,
 				})
@@ -473,6 +486,18 @@ func TestBulkLoadSweep(t *testing.T) {
 			}
 			if delta >= threshold {
 				t.Fatalf("left %d rows in the delta store, want < %d: direct path only, sub-threshold tail at most", delta, threshold)
+			}
+			batch := cmp.Or(leg.batch, rowGroupSize)
+			var want, sizes []int
+			wantDelta := rows
+			for ; wantDelta >= threshold; wantDelta -= min(wantDelta, batch) {
+				want = append(want, min(wantDelta, batch))
+			}
+			for _, g := range tb.t.Index().Groups() {
+				sizes = append(sizes, g.Rows)
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(want) || delta != wantDelta {
+				t.Fatalf("published groups of %v rows and %d delta rows, want %v and %d", sizes, delta, want, wantDelta)
 			}
 			res, err := db.Query(fmt.Sprintf("SELECT COUNT(*), SUM(id), SUM(grp) FROM %s", table))
 			if err != nil {

@@ -1,6 +1,7 @@
 package apollo
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -313,7 +314,7 @@ func tableOpts(rowGroup, bulkThreshold int, tier storage.Compression) table.Opti
 func loadTable(t *testing.T, schema *sqltypes.Schema, rows []sqltypes.Row, o table.Options) *table.Table {
 	t.Helper()
 	tb := table.New(storage.NewStore(storage.DefaultBufferPoolBytes), "t", schema, o)
-	if err := tb.BulkLoad(rows); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	return tb
@@ -325,7 +326,7 @@ func createLoaded(t *testing.T, cat *catalog.Catalog, name string, schema *sqlty
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.BulkLoad(rows); err != nil {
+	if _, err := tb.BulkLoad(context.Background(), rows); err != nil {
 		t.Fatal(err)
 	}
 	return tb

@@ -606,7 +606,8 @@ func TestTxnSnapshotPropertyUnderChurn(t *testing.T) {
 // A failing UPDATE changes no row: every new row is computed and checked
 // before the first write, whether the matching rows sit in a compressed
 // group or in the delta store, in autocommit and inside a transaction whose
-// COMMIT then persists nothing of it.
+// COMMIT then persists nothing of it. The same holds for a multi-row INSERT
+// whose second row is NULL in the NOT NULL column.
 func TestUpdateFailureWritesNothing(t *testing.T) {
 	open := map[string]func(t *testing.T) (*apollo.DB, func() *apollo.DB){
 		"Open": func(t *testing.T) (*apollo.DB, func() *apollo.DB) {
@@ -648,20 +649,29 @@ func TestUpdateFailureWritesNothing(t *testing.T) {
 					if res.Stats.RowGroups != 1 || res.Stats.DeltaRowsScanned != 4 {
 						t.Fatalf("fixture: %d row groups, %d delta rows; want 1 and 4", res.Stats.RowGroups, res.Stats.DeltaRowsScanned)
 					}
-					update := fmt.Sprintf("UPDATE t SET v = 10 / (id - %d)", zero)
+					failing := []string{
+						fmt.Sprintf("UPDATE t SET v = 10 / (id - %d)", zero),
+						"INSERT INTO t VALUES (9, 9), (10, NULL), (11, 11)",
+					}
 					if inTxn {
 						tx, err := db.Begin(context.Background())
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := tx.Exec(update); err == nil {
-							t.Fatal("UPDATE writing NULL into a NOT NULL column succeeded")
+						for _, stmt := range failing {
+							if _, err := tx.Exec(stmt); err == nil {
+								t.Fatalf("%s: writing NULL into a NOT NULL column succeeded", stmt)
+							}
 						}
 						if err := tx.Commit(context.Background()); err != nil {
 							t.Fatal(err)
 						}
-					} else if _, err := db.Exec(update); err == nil {
-						t.Fatal("UPDATE writing NULL into a NOT NULL column succeeded")
+					} else {
+						for _, stmt := range failing {
+							if _, err := db.Exec(stmt); err == nil {
+								t.Fatalf("%s: writing NULL into a NOT NULL column succeeded", stmt)
+							}
+						}
 					}
 					db = reopen()
 					defer db.Close()
@@ -670,7 +680,7 @@ func TestUpdateFailureWritesNothing(t *testing.T) {
 						got += fmt.Sprintf(" %d:%d", r[0].I, r[1].I)
 					}
 					if got[1:] != want {
-						t.Fatalf("after the failed UPDATE: %s, want %s", got[1:], want)
+						t.Fatalf("after the failed UPDATE and INSERT: %s, want %s", got[1:], want)
 					}
 				})
 			}
